@@ -321,7 +321,7 @@ impl ProductChain {
         let _span = obs::span("core.product_solve");
         let tr = self.op.transposed();
         let imp = ImplicitStochastic::with_tolerance(&self.op, tr, PRODUCT_TOL)?;
-        let (result, stats) = solver.solve_op_with_stats(&imp, None)?;
+        let (result, stats) = solver.solve_with_stats(&imp, None)?;
         self.solved_event(true, &result);
         Ok(ProductSolve {
             result,

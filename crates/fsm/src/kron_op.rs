@@ -435,20 +435,21 @@ impl TransitionOp for KroneckerOp {
 
     /// Diagonal of the product written straight into `out`: successive
     /// outer products of the factor diagonals, expanded in place from the
-    /// back of the buffer — `O(dim)` output, no `O(dim)` temporaries,
-    /// never touches off-diagonal entries. (The write index `i·m + j` is
-    /// always ≥ the read index `i`, so sources survive until consumed.)
+    /// back of the buffer — `O(dim)` output, no allocation, never touches
+    /// off-diagonal entries. (The write index `i·m + j` is always ≥ the
+    /// read index `i`, so sources survive until consumed.) Factor
+    /// diagonal entries are read with [`CsrMatrix::get`], the lookup
+    /// `CsrMatrix::diagonal` itself uses.
     fn diagonal_into(&self, out: &mut [f64]) {
         assert_eq!(out.len(), self.dim, "diagonal buffer length must match");
         out[0] = 1.0;
         let mut len = 1usize;
         for f in &self.factors {
-            let fd = f.diagonal();
-            let m = fd.len();
+            let m = f.rows();
             for i in (0..len).rev() {
                 let a = out[i];
-                for (j, &b) in fd.iter().enumerate().rev() {
-                    out[i * m + j] = a * b;
+                for j in (0..m).rev() {
+                    out[i * m + j] = a * f.get(j, j);
                 }
             }
             len *= m;

@@ -3,7 +3,7 @@
 use std::sync::OnceLock;
 
 use crate::par::{RowPartition, PARALLEL_NNZ_CUTOFF};
-use crate::{CooMatrix, CscMatrix, DenseMatrix, LinalgError, Result};
+use crate::{CooMatrix, DenseMatrix, LinalgError, Result};
 
 /// An immutable sparse matrix in compressed sparse row (CSR) format.
 ///
@@ -404,11 +404,6 @@ impl CsrMatrix {
         // already sorted by (former-row) column index.
         indptr.truncate(self.cols + 1);
         CsrMatrix::from_raw_parts(self.cols, self.rows, indptr, indices, data)
-    }
-
-    /// Converts to compressed sparse column format.
-    pub fn to_csc(&self) -> CscMatrix {
-        CscMatrix::from_transposed_csr(self.transpose())
     }
 
     /// Converts to a dense matrix.

@@ -42,8 +42,6 @@ pub enum LinalgError {
         /// The offending value.
         value: f64,
     },
-    /// A permutation vector was not a bijection on `0..n`.
-    InvalidPermutation(String),
 }
 
 impl fmt::Display for LinalgError {
@@ -66,7 +64,6 @@ impl fmt::Display for LinalgError {
             LinalgError::NonFiniteValue { row, col, value } => {
                 write!(f, "non-finite value {value} at ({row}, {col})")
             }
-            LinalgError::InvalidPermutation(msg) => write!(f, "invalid permutation: {msg}"),
         }
     }
 }

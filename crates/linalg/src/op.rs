@@ -5,7 +5,7 @@
 //! expose dimension/nnz metadata, row access, and the two matrix–vector
 //! products `x·A` (distribution step) and `A·x`; it never has to
 //! materialize its entries. The concrete storage formats in this crate
-//! ([`CsrMatrix`], [`DenseMatrix`], [`CscMatrix`]) implement it here;
+//! ([`CsrMatrix`], [`DenseMatrix`]) implement it here;
 //! downstream crates add structured backends (the stochastic wrapper in
 //! `stochcdr-markov`, the Kronecker product-form operator in
 //! `stochcdr-fsm`).
@@ -20,7 +20,6 @@
 //! and agree only to rounding.
 
 use crate::coo::CooMatrix;
-use crate::csc::CscMatrix;
 use crate::csr::CsrMatrix;
 use crate::dense::DenseMatrix;
 
@@ -258,55 +257,6 @@ impl TransitionOp for DenseMatrix {
     }
 }
 
-impl TransitionOp for CscMatrix {
-    fn rows(&self) -> usize {
-        CscMatrix::rows(self)
-    }
-
-    fn cols(&self) -> usize {
-        CscMatrix::cols(self)
-    }
-
-    fn nnz(&self) -> usize {
-        CscMatrix::nnz(self)
-    }
-
-    fn mul_left_into(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(
-            y.len(),
-            CscMatrix::cols(self),
-            "y length must equal column count"
-        );
-        y.copy_from_slice(&CscMatrix::mul_left(self, x));
-    }
-
-    fn mul_right_into(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(
-            y.len(),
-            CscMatrix::rows(self),
-            "y length must equal row count"
-        );
-        y.copy_from_slice(&CscMatrix::mul_right(self, x));
-    }
-
-    fn for_each_in_row(&self, row: usize, f: &mut dyn FnMut(usize, f64)) {
-        // Column-major storage: row access probes each column (O(cols·log)
-        // per row). CSC is chosen for column-access patterns; row-driven
-        // solvers should materialize or use the CSR backend.
-        assert!(row < CscMatrix::rows(self), "row out of bounds");
-        for c in 0..CscMatrix::cols(self) {
-            let v = CscMatrix::get(self, row, c);
-            if v != 0.0 {
-                f(c, v);
-            }
-        }
-    }
-
-    fn transpose_csr(&self) -> Option<&CsrMatrix> {
-        Some(self.transposed_csr())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -330,11 +280,10 @@ mod tests {
     }
 
     #[test]
-    fn csr_dense_csc_backends_agree() {
+    fn csr_and_dense_backends_agree() {
         let p = sample_csr();
         assert_backends_agree(&p, &p);
         assert_backends_agree(&p.to_dense(), &p);
-        assert_backends_agree(&p.to_csc(), &p);
     }
 
     #[test]
@@ -350,32 +299,10 @@ mod tests {
     }
 
     #[test]
-    fn csc_exposes_cached_transpose() {
-        let p = sample_csr();
-        let csc = p.to_csc();
-        let t = TransitionOp::transpose_csr(&csc).expect("csc caches its transpose");
-        assert_eq!(*t, p.transpose());
-    }
-
-    #[test]
-    fn transpose_op_default_forwards_the_csr_transpose() {
-        let p = sample_csr();
-        let csc = p.to_csc();
-        let t = TransitionOp::transpose_op(&csc).expect("csc serves a transpose op");
-        let x = vec![0.1, 0.4, 0.5];
-        assert_eq!(t.mul_right(&x), p.transpose().mul_right(&x));
-        // Backends without a cached transpose default to None.
-        assert!(TransitionOp::transpose_op(&p).is_none());
-    }
-
-    #[test]
     fn diagonal_into_matches_diagonal_for_every_backend() {
         let p = sample_csr();
-        let backends: Vec<Box<dyn TransitionOp>> = vec![
-            Box::new(p.clone()),
-            Box::new(p.to_dense()),
-            Box::new(p.to_csc()),
-        ];
+        let backends: Vec<Box<dyn TransitionOp>> =
+            vec![Box::new(p.clone()), Box::new(p.to_dense())];
         for op in &backends {
             let mut d = vec![f64::NAN; 3];
             op.diagonal_into(&mut d);

@@ -107,7 +107,9 @@ pub const PARALLEL_NNZ_CUTOFF: usize = 65_536;
 pub const PARTITION_BLOCK_WEIGHT: usize = 32_768;
 
 static OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-static ENV: OnceLock<Option<usize>> = OnceLock::new();
+/// `STOCHCDR_THREADS`, else [`available`], resolved once: the OS query
+/// behind `available` allocates, and [`threads`] runs on every dispatch.
+static DEFAULT: OnceLock<usize> = OnceLock::new();
 
 /// Hardware parallelism as reported by the OS (≥ 1).
 pub fn available() -> usize {
@@ -116,12 +118,13 @@ pub fn available() -> usize {
         .unwrap_or(1)
 }
 
-fn env_threads() -> Option<usize> {
-    *ENV.get_or_init(|| {
+fn default_threads() -> usize {
+    *DEFAULT.get_or_init(|| {
         std::env::var("STOCHCDR_THREADS")
             .ok()
             .and_then(|v| v.trim().parse::<usize>().ok())
             .filter(|&n| n >= 1)
+            .unwrap_or_else(available)
     })
 }
 
@@ -140,7 +143,7 @@ pub fn threads() -> usize {
     if o > 0 {
         return o;
     }
-    env_threads().unwrap_or_else(available)
+    default_threads()
 }
 
 // ---------------------------------------------------------------------------

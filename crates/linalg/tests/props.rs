@@ -1,7 +1,7 @@
 //! Property-based tests for the sparse kernels.
 
 use proptest::prelude::*;
-use stochcdr_linalg::{kron, vecops, CooMatrix, CsrMatrix, DenseMatrix, Permutation};
+use stochcdr_linalg::{kron, vecops, CooMatrix, CsrMatrix, DenseMatrix};
 
 /// Strategy generating a random sparse matrix as triplets.
 fn sparse(rows: usize, cols: usize) -> impl Strategy<Value = CsrMatrix> {
@@ -126,16 +126,6 @@ proptest! {
         for (g, l) in xg.x.iter().zip(&xl) {
             prop_assert!((g - l).abs() < 1e-6, "{:?} vs {:?}", xg.x, xl);
         }
-    }
-
-    /// Permutation preserves the multiset of values and inverts cleanly.
-    #[test]
-    fn permutation_preserves_values(perm_seed in prop::collection::vec(0u64..1000, 6), a in sparse(6, 6)) {
-        let p = Permutation::from_sort_key(6, |i| perm_seed[i]);
-        let b = p.permute_matrix(&a);
-        prop_assert_eq!(a.nnz(), b.nnz());
-        let back = p.inverted().permute_matrix(&b);
-        prop_assert_eq!(back, a);
     }
 
     /// Row sums survive row scaling consistently.

@@ -4,6 +4,8 @@
 //! paper (Demir & Feldmann, DATE 2000) relies on:
 //!
 //! * [`StochasticMatrix`] — a validated transition probability matrix (TPM),
+//!   and [`Chain`], the sealed trait it shares with the matrix-free
+//!   [`ImplicitStochastic`],
 //! * [`stationary`] — solvers for the stationary distribution `η P = η`:
 //!   power iteration, (damped) Jacobi, Gauss–Seidel, and the direct GTH
 //!   algorithm used at the coarsest multigrid level,
@@ -40,6 +42,7 @@
 #![forbid(unsafe_code)]
 
 pub mod censored;
+mod chain;
 pub mod classify;
 mod error;
 pub mod functional;
@@ -53,6 +56,7 @@ pub mod stationary;
 mod stochastic;
 pub mod transient;
 
+pub use chain::Chain;
 pub use error::{MarkovError, Result};
 pub use implicit::ImplicitStochastic;
 pub use stochastic::StochasticMatrix;

@@ -30,10 +30,15 @@
 //!   into an existing matrix with zero heap allocations, bit-identical to
 //!   [`lump_weighted`] for strictly positive weights (see the invalidation
 //!   and precision notes on [`LumpPlan`]).
+//!
+//! Both the plan and the refresh take any validated [`Chain`] and pick
+//! their algorithm from [`Chain::csr`]: a chain with CSR storage gets the
+//! fine-entry gather map, a matrix-free chain (the implicit Kronecker
+//! fine grid) is re-traversed row by row with the same summation order.
 
-use stochcdr_linalg::{par, CooMatrix, CsrMatrix, TransitionOp};
+use stochcdr_linalg::{par, CooMatrix, CsrMatrix};
 
-use crate::{MarkovError, Result, StochasticMatrix};
+use crate::{Chain, MarkovError, Result, StochasticMatrix};
 
 /// Fixed row-chunk size for the parallel aggregation kernels. A pure
 /// constant (never derived from the thread count) so the order in which
@@ -360,9 +365,8 @@ pub struct LumpPlan {
     indices: Vec<u32>,
     /// Per-slot gather extents into `gather_src`/`gather_row`
     /// (length `nnz() + 1`); doubles as the weight prefix for
-    /// nnz-balanced parallel refresh. Empty (length 1) for
-    /// operator-built plans ([`from_op`](Self::from_op)), which gather
-    /// at refresh time instead.
+    /// nnz-balanced parallel refresh. Empty (length 1) for plans of
+    /// matrix-free chains, which gather at refresh time instead.
     gather_ptr: Vec<usize>,
     /// Fine entry index of each gather term, in from-scratch summation
     /// order.
@@ -377,27 +381,36 @@ pub struct LumpPlan {
     /// work prefix the group-aligned parallel refresh balances on.
     row_cost: Vec<usize>,
     /// Largest fine-entry count of any coarse row; sizes the per-worker
-    /// sort scratch of the operator refresh path.
+    /// sort scratch of the row-traversal refresh.
     max_row_entries: usize,
     /// Precomputed nnz-balanced blocking of the slot-gather refresh
     /// (weights = gather-list lengths from `gather_ptr`). Built once at
     /// plan time so every numeric refresh dispatches over fixed, L2-sized
     /// blocks with no per-call binary searches; trivial (one empty block)
-    /// for operator plans, which balance per coarse row instead. Cached
+    /// for row-traversal plans, which balance per coarse row instead. Cached
     /// with the plan — the sweep engine's `FactorCache` keeps plan stacks
     /// behind `Arc`s, so the blocking is shared across sweep points.
     gather_part: par::RowPartition,
 }
 
 impl LumpPlan {
-    /// Builds the symbolic plan for lumping `p` with `partition`.
+    /// Builds the symbolic plan for lumping `chain` with `partition`: a
+    /// fine-entry gather map over the chain's CSR pattern when
+    /// [`Chain::csr`] has one, otherwise a row traversal of the chain —
+    /// the coarse pattern and transpose permutation without a gather map
+    /// (there are no fine entry indices without a materialized matrix).
+    /// Either way [`lump_weighted_into`] reproduces the same assembly
+    /// order, and therefore the same bits, for the same entries.
     ///
     /// # Errors
     ///
     /// Returns [`MarkovError::InvalidArgument`] if the partition does not
-    /// cover `p`'s state space.
-    pub fn build(p: &StochasticMatrix, partition: &Partition) -> Result<LumpPlan> {
-        LumpPlan::from_pattern(p.n(), p.matrix().indptr(), p.matrix().indices(), partition)
+    /// cover the chain's state space.
+    pub fn build(chain: &dyn Chain, partition: &Partition) -> Result<LumpPlan> {
+        match chain.csr() {
+            Some(m) => LumpPlan::from_pattern(m.rows(), m.indptr(), m.indices(), partition),
+            None => LumpPlan::from_rows(chain, partition),
+        }
     }
 
     /// Builds the symbolic plan from a raw fine CSR pattern.
@@ -518,30 +531,9 @@ impl LumpPlan {
         })
     }
 
-    /// Builds the symbolic plan for lumping a [`TransitionOp`] with
-    /// `partition`, traversing rows instead of a materialized pattern —
-    /// the finest-level setup of the implicit Kronecker path.
-    ///
-    /// The resulting plan carries the coarse pattern and transpose
-    /// permutation but **no** fine-entry gather map (there are no fine
-    /// entry indices without a materialized matrix); numeric refreshes go
-    /// through [`lump_op_weighted_into`], which re-traverses the operator
-    /// and reproduces the recorded assembly order — and therefore the
-    /// exact bits — of the materialized path, provided the operator
-    /// serves the same entries (column set and values) as the
-    /// materialized fine matrix would.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MarkovError::InvalidArgument`] if the operator is not
-    /// square or the partition does not cover its state space.
-    pub fn from_op(op: &dyn TransitionOp, partition: &Partition) -> Result<LumpPlan> {
-        let n = op.rows();
-        if op.cols() != n {
-            return Err(MarkovError::InvalidArgument(
-                "operator must be square".into(),
-            ));
-        }
+    /// The row-traversal half of [`build`](Self::build).
+    fn from_rows(chain: &dyn Chain, partition: &Partition) -> Result<LumpPlan> {
+        let n = chain.rows();
         if partition.n() != n {
             return Err(MarkovError::InvalidArgument(
                 "partition size does not match state count".into(),
@@ -556,7 +548,7 @@ impl LumpPlan {
         for b in 0..nb {
             scratch.clear();
             for &i in partition.block_members(b) {
-                op.for_each_in_row(i, &mut |j, _| {
+                chain.for_each_in_row(i, &mut |j, _| {
                     scratch.push(partition.block_of(j) as u32);
                 });
             }
@@ -586,11 +578,10 @@ impl LumpPlan {
         })
     }
 
-    /// Whether this plan was built from an operator traversal
-    /// ([`from_op`](Self::from_op)) and must refresh through
-    /// [`lump_op_weighted_into`] rather than the gather-map path.
-    pub fn is_operator_plan(&self) -> bool {
-        self.gather_ptr.len() != self.nnz() + 1
+    /// Whether this plan carries a fine-entry gather map (built from a
+    /// CSR pattern) rather than refreshing by row traversal.
+    fn has_gather_map(&self) -> bool {
+        self.gather_ptr.len() == self.nnz() + 1
     }
 
     /// Builds the plan stack for a whole coarsening hierarchy: plan `k`
@@ -601,11 +592,11 @@ impl LumpPlan {
     ///
     /// Returns [`MarkovError::InvalidArgument`] if any partition does not
     /// chain (`partitions[k].n()` must equal the previous block count).
-    pub fn build_stack(p: &StochasticMatrix, partitions: &[Partition]) -> Result<Vec<LumpPlan>> {
+    pub fn build_stack(fine: &dyn Chain, partitions: &[Partition]) -> Result<Vec<LumpPlan>> {
         let mut plans: Vec<LumpPlan> = Vec::with_capacity(partitions.len());
         for part in partitions {
             let plan = match plans.last() {
-                None => LumpPlan::build(p, part)?,
+                None => LumpPlan::build(fine, part)?,
                 Some(prev) => LumpPlan::from_pattern(prev.nb, &prev.indptr, &prev.indices, part)?,
             };
             plans.push(plan);
@@ -689,24 +680,23 @@ fn transpose_placement(
 pub struct LumpWorkspace {
     block_weight: Vec<f64>,
     wscale: Vec<f64>,
-    /// Per-worker sort buffers for the operator refresh path
-    /// ([`lump_op_weighted_into`]); empty for gather-map plans. Each
-    /// slot is preallocated to the plan's largest coarse row, so the
-    /// refresh never grows them.
+    /// Per-worker sort buffers for the row-traversal refresh; empty for
+    /// gather-map plans. Each slot is preallocated to the plan's largest
+    /// coarse row, so the refresh never grows them.
     row_scratch: Vec<Vec<(u32, f64)>>,
 }
 
 impl LumpWorkspace {
-    /// Allocates buffers sized for `plan`. Operator-built plans
-    /// ([`LumpPlan::from_op`]) additionally get one sort buffer per
-    /// worker thread for the traversal refresh.
+    /// Allocates buffers sized for `plan`. Plans without a gather map
+    /// additionally get one sort buffer per worker thread for the
+    /// row-traversal refresh.
     pub fn for_plan(plan: &LumpPlan) -> Self {
-        let row_scratch = if plan.is_operator_plan() {
+        let row_scratch = if plan.has_gather_map() {
+            Vec::new()
+        } else {
             (0..par::threads().max(1))
                 .map(|_| Vec::with_capacity(plan.max_row_entries))
                 .collect()
-        } else {
-            Vec::new()
         };
         LumpWorkspace {
             block_weight: vec![0.0; plan.nb],
@@ -769,36 +759,44 @@ fn refresh_shares(partition: &Partition, w: &[f64], ws: &mut LumpWorkspace) {
 }
 
 /// Numeric-only refresh of a weighted lumping: recomputes the values of
-/// `out` (pattern fixed by `plan`) from the fine matrix `p` and weights
-/// `w`, with **zero heap allocations**.
+/// `out` (pattern fixed by `plan`) from the fine chain and weights `w`,
+/// with **zero heap allocations**.
+///
+/// The algorithm follows [`Chain::csr`]. With CSR storage, each coarse
+/// value is summed from the plan's recorded fine entries (a gather map
+/// over the CSR values). Without it, each coarse row is rebuilt by
+/// re-traversing its member rows (ascending members, entries in column
+/// order), pushing `(coarse column, wscale_i · value)` pairs into a
+/// preallocated per-worker buffer, sorting with the same unstable key
+/// sort the from-scratch COO assembly runs, and summing runs in place.
+/// The sort's permutation depends only on the key sequence (and the
+/// element type matches the gather-map plan deliberately), so both
+/// algorithms add the same terms in the same order.
 ///
 /// Bit-identical to a from-scratch [`lump_weighted`] for strictly
 /// positive weights (see [`LumpPlan`] for the zero-weight caveat); the
-/// parallel slot gather is nnz-balanced and, per the determinism
-/// contract, produces the same bits at any thread count.
+/// parallel split is nnz-balanced and, per the determinism contract,
+/// produces the same bits at any thread count.
 ///
 /// # Errors
 ///
 /// Returns [`MarkovError::InvalidArgument`] for the same malformed-weight
-/// conditions as [`lump_weighted`], or if `out`/`plan`/`p` shapes are
-/// inconsistent.
+/// conditions as [`lump_weighted`], if `out`/`plan`/`chain` shapes are
+/// inconsistent, if a chain with CSR storage meets a plan without a
+/// gather map, or if a matrix-free chain meets a workspace without
+/// per-worker scratch.
 pub fn lump_weighted_into(
-    p: &StochasticMatrix,
+    chain: &dyn Chain,
     partition: &Partition,
     w: &[f64],
     plan: &LumpPlan,
     ws: &mut LumpWorkspace,
     out: &mut StochasticMatrix,
 ) -> Result<()> {
-    let n = p.n();
-    if partition.n() != n || plan.fine_n != n || plan.fine_nnz != p.nnz() {
+    let n = chain.rows();
+    if partition.n() != n || plan.fine_n != n {
         return Err(MarkovError::InvalidArgument(
-            "lump plan does not match the fine matrix/partition".into(),
-        ));
-    }
-    if plan.is_operator_plan() {
-        return Err(MarkovError::InvalidArgument(
-            "plan was built from an operator; refresh with lump_op_weighted_into".into(),
+            "lump plan does not match the fine chain/partition".into(),
         ));
     }
     validate_weights(n, w)?;
@@ -807,29 +805,78 @@ pub fn lump_weighted_into(
             "output matrix does not match the plan's coarse pattern".into(),
         ));
     }
+    let fine = chain.csr();
+    match fine {
+        Some(m) if m.nnz() != plan.fine_nnz || !plan.has_gather_map() => {
+            return Err(MarkovError::InvalidArgument(
+                "lump plan was not built from this chain's CSR pattern".into(),
+            ));
+        }
+        None if ws.row_scratch.is_empty() => {
+            return Err(MarkovError::InvalidArgument(
+                "a chain without CSR storage needs a row-traversal plan and its workspace".into(),
+            ));
+        }
+        _ => {}
+    }
     debug_assert_eq!(ws.block_weight.len(), plan.nb);
     debug_assert_eq!(ws.wscale.len(), n);
     refresh_shares(partition, w, ws);
-    // Phase 3: slot gather — each coarse value is the sum of its fine
-    // entries in the recorded from-scratch order. Parallel over the
-    // plan's precomputed gather blocking (weights = gather-list
-    // lengths); each slot is summed wholly by one worker inside a fixed
-    // block, so the refresh is bit-identical at any thread count.
-    let fine = p.matrix().data();
     let (pm, ptm) = out.parts_mut();
     let data = pm.data_mut();
-    {
-        let wscale = &ws.wscale;
-        par::for_each_partition_mut(data, &plan.gather_part, |start, chunk| {
-            for (k, slot) in chunk.iter_mut().enumerate() {
-                let s = start + k;
-                let mut sum = 0.0;
-                for m in plan.gather_ptr[s]..plan.gather_ptr[s + 1] {
-                    sum += wscale[plan.gather_row[m] as usize] * fine[plan.gather_src[m] as usize];
+    let wscale = &ws.wscale;
+    match fine {
+        // Slot gather: parallel over the plan's precomputed gather
+        // blocking (weights = gather-list lengths); each slot is summed
+        // wholly by one worker inside a fixed block.
+        Some(csr) => {
+            let fine = csr.data();
+            par::for_each_partition_mut(data, &plan.gather_part, |start, chunk| {
+                for (k, slot) in chunk.iter_mut().enumerate() {
+                    let s = start + k;
+                    let mut sum = 0.0;
+                    for m in plan.gather_ptr[s]..plan.gather_ptr[s + 1] {
+                        sum +=
+                            wscale[plan.gather_row[m] as usize] * fine[plan.gather_src[m] as usize];
+                    }
+                    *slot = sum;
                 }
-                *slot = sum;
-            }
-        });
+            });
+        }
+        // Row traversal, sort, and run-length sum. Group boundaries are
+        // coarse rows; the per-group cost prefix is the fine entry count
+        // recorded at plan time.
+        None => par::for_each_grouped_chunk_mut(
+            data,
+            &plan.indptr,
+            &plan.row_cost,
+            &mut ws.row_scratch,
+            |rows, chunk, scratch| {
+                let base = plan.indptr[rows.start];
+                for b in rows {
+                    scratch.clear();
+                    for &i in partition.block_members(b) {
+                        let wi = wscale[i];
+                        chain.for_each_in_row(i, &mut |j, v| {
+                            scratch.push((partition.block_of(j) as u32, wi * v));
+                        });
+                    }
+                    scratch.sort_unstable_by_key(|&(c, _)| c);
+                    let row_out = &mut chunk[plan.indptr[b] - base..plan.indptr[b + 1] - base];
+                    let mut s = 0usize;
+                    for slot in row_out.iter_mut() {
+                        let c = scratch[s].0;
+                        let mut sum = 0.0;
+                        while s < scratch.len() && scratch[s].0 == c {
+                            sum += scratch[s].1;
+                            s += 1;
+                        }
+                        *slot = sum;
+                    }
+                    debug_assert_eq!(s, scratch.len(), "coarse row {b} out of sync");
+                }
+            },
+        ),
     }
     renorm_and_refresh_transpose(plan, pm, ptm);
     Ok(())
@@ -866,141 +913,15 @@ fn renorm_and_refresh_transpose(plan: &LumpPlan, pm: &mut CsrMatrix, ptm: &mut C
     });
 }
 
-/// Numeric refresh of a weighted lumping straight from a
-/// [`TransitionOp`] — the implicit-path twin of [`lump_weighted_into`]
-/// for plans built with [`LumpPlan::from_op`], with **zero heap
-/// allocations** per call.
-///
-/// Each coarse row is rebuilt by re-traversing its member rows
-/// (ascending members, entries in column order), pushing
-/// `(coarse column, wscale_i · value)` pairs into a preallocated
-/// per-worker buffer, sorting with the same unstable key sort the
-/// from-scratch COO assembly runs, and summing runs in place. Because
-/// the sort's permutation depends only on the key sequence (and the
-/// element type matches the recorded-gather path deliberately), the
-/// summation order — and therefore every bit of the result — equals
-/// what [`lump_weighted_into`] produces on the materialized fine matrix
-/// whose entries the operator serves. Parallel chunking is group-aligned
-/// per coarse row, so results are bit-identical at any thread count.
-///
-/// # Errors
-///
-/// Returns [`MarkovError::InvalidArgument`] for the same malformed-weight
-/// conditions as [`lump_weighted`], a non-operator plan, shape
-/// mismatches, or a workspace without per-worker scratch.
-pub fn lump_op_weighted_into(
-    op: &dyn TransitionOp,
-    partition: &Partition,
-    w: &[f64],
-    plan: &LumpPlan,
-    ws: &mut LumpWorkspace,
-    out: &mut StochasticMatrix,
-) -> Result<()> {
-    let n = op.rows();
-    if op.cols() != n || partition.n() != n || plan.fine_n != n {
-        return Err(MarkovError::InvalidArgument(
-            "lump plan does not match the operator/partition".into(),
-        ));
-    }
-    if !plan.is_operator_plan() {
-        return Err(MarkovError::InvalidArgument(
-            "plan carries a gather map; refresh with lump_weighted_into".into(),
-        ));
-    }
-    validate_weights(n, w)?;
-    if out.n() != plan.nb || out.nnz() != plan.nnz() {
-        return Err(MarkovError::InvalidArgument(
-            "output matrix does not match the plan's coarse pattern".into(),
-        ));
-    }
-    if ws.row_scratch.is_empty() {
-        return Err(MarkovError::InvalidArgument(
-            "workspace lacks row scratch; build it with LumpWorkspace::for_plan".into(),
-        ));
-    }
-    debug_assert_eq!(ws.block_weight.len(), plan.nb);
-    debug_assert_eq!(ws.wscale.len(), n);
-    refresh_shares(partition, w, ws);
-    // Phase 3: per-coarse-row traversal, sort, and run-length sum. Group
-    // boundaries are coarse rows; the per-group cost prefix is the fine
-    // entry count recorded at plan time.
-    let (pm, ptm) = out.parts_mut();
-    {
-        let data = pm.data_mut();
-        let wscale = &ws.wscale;
-        par::for_each_grouped_chunk_mut(
-            data,
-            &plan.indptr,
-            &plan.row_cost,
-            &mut ws.row_scratch,
-            |rows, chunk, scratch| {
-                let base = plan.indptr[rows.start];
-                for b in rows {
-                    scratch.clear();
-                    for &i in partition.block_members(b) {
-                        let wi = wscale[i];
-                        op.for_each_in_row(i, &mut |j, v| {
-                            scratch.push((partition.block_of(j) as u32, wi * v));
-                        });
-                    }
-                    scratch.sort_unstable_by_key(|&(c, _)| c);
-                    let row_out = &mut chunk[plan.indptr[b] - base..plan.indptr[b + 1] - base];
-                    let mut s = 0usize;
-                    for slot in row_out.iter_mut() {
-                        let c = scratch[s].0;
-                        let mut sum = 0.0;
-                        while s < scratch.len() && scratch[s].0 == c {
-                            sum += scratch[s].1;
-                            s += 1;
-                        }
-                        *slot = sum;
-                    }
-                    debug_assert_eq!(s, scratch.len(), "coarse row {b} out of sync");
-                }
-            },
-        );
-    }
-    renorm_and_refresh_transpose(plan, pm, ptm);
-    Ok(())
-}
-
-/// Allocates a coarse matrix from an operator plan's pattern and
-/// refreshes it via [`lump_op_weighted_into`] — the allocating entry
-/// point of the implicit path (hierarchy setup).
-///
-/// # Errors
-///
-/// Same as [`lump_op_weighted_into`].
-pub fn lump_op_with_plan(
-    op: &dyn TransitionOp,
-    partition: &Partition,
-    w: &[f64],
-    plan: &LumpPlan,
-    ws: &mut LumpWorkspace,
-) -> Result<StochasticMatrix> {
-    let csr = CsrMatrix::from_sorted_parts(
-        plan.nb,
-        plan.nb,
-        plan.indptr.clone(),
-        plan.indices.clone(),
-        vec![0.0; plan.nnz()],
-    )
-    .map_err(|e| MarkovError::InvalidArgument(format!("corrupt lump plan: {e}")))?;
-    let pt = csr.transpose();
-    let mut out = StochasticMatrix::from_parts_unchecked(csr, pt);
-    lump_op_weighted_into(op, partition, w, plan, ws, &mut out)?;
-    Ok(out)
-}
-
 /// Allocates a coarse matrix from the plan's pattern and refreshes it via
 /// [`lump_weighted_into`] — the allocating entry point for callers that
-/// hold a plan but no matrix yet (hierarchy setup, FMG chains).
+/// hold a plan but no matrix yet (hierarchy setup).
 ///
 /// # Errors
 ///
 /// Same as [`lump_weighted_into`].
 pub fn lump_with_plan(
-    p: &StochasticMatrix,
+    chain: &dyn Chain,
     partition: &Partition,
     w: &[f64],
     plan: &LumpPlan,
@@ -1016,7 +937,7 @@ pub fn lump_with_plan(
     .map_err(|e| MarkovError::InvalidArgument(format!("corrupt lump plan: {e}")))?;
     let pt = csr.transpose();
     let mut out = StochasticMatrix::from_parts_unchecked(csr, pt);
-    lump_weighted_into(p, partition, w, plan, ws, &mut out)?;
+    lump_weighted_into(chain, partition, w, plan, ws, &mut out)?;
     Ok(out)
 }
 
@@ -1111,6 +1032,7 @@ pub fn aggregate(partition: &Partition, x: &[f64]) -> Vec<f64> {
 mod tests {
     use super::*;
     use crate::stationary::{GthSolver, StationarySolver};
+    use crate::ImplicitStochastic;
     use stochcdr_linalg::vecops;
 
     fn chain(n: usize, edges: &[(usize, usize, f64)]) -> StochasticMatrix {
@@ -1387,22 +1309,27 @@ mod tests {
     fn operator_plan_matches_gather_plan_bitwise() {
         let _g = THREADS_LOCK.lock().unwrap();
         let n = 60;
-        let p = random_chain(n, 11);
+        // One raw matrix validated twice: with CSR storage (gather-map
+        // plan) and matrix-free (row-traversal plan). Both serve the
+        // same renormalized values.
+        let raw = random_chain(n, 11).into_inner();
+        let rawt = raw.transpose();
+        let mat = StochasticMatrix::with_tolerance(raw.clone(), 1e-6).unwrap();
+        let imp = ImplicitStochastic::with_tolerance(&raw, &rawt, 1e-6).unwrap();
         let part = Partition::from_labels((0..n).map(|i| (i * 13 + 4) % 7).collect()).unwrap();
-        let gplan = LumpPlan::build(&p, &part).unwrap();
-        // The chain itself is the operator: same pattern, same values.
-        let oplan = LumpPlan::from_op(&p, &part).unwrap();
-        assert!(!gplan.is_operator_plan());
-        assert!(oplan.is_operator_plan());
+        let gplan = LumpPlan::build(&mat, &part).unwrap();
+        let oplan = LumpPlan::build(&imp, &part).unwrap();
+        assert!(gplan.has_gather_map());
+        assert!(!oplan.has_gather_map());
         assert_eq!(gplan.pattern(), oplan.pattern());
         assert_eq!(gplan.fine_nnz(), oplan.fine_nnz());
         let mut gws = LumpWorkspace::for_plan(&gplan);
         let mut ows = LumpWorkspace::for_plan(&oplan);
         let w: Vec<f64> = (0..n).map(|i| 0.05 + (i as f64 * 0.61).fract()).collect();
-        let reference = lump_with_plan(&p, &part, &w, &gplan, &mut gws).unwrap();
+        let reference = lump_with_plan(&mat, &part, &w, &gplan, &mut gws).unwrap();
         for t in [1usize, 4] {
             par::set_threads(Some(t));
-            let got = lump_op_with_plan(&p, &part, &w, &oplan, &mut ows).unwrap();
+            let got = lump_with_plan(&imp, &part, &w, &oplan, &mut ows).unwrap();
             par::set_threads(None);
             assert!(
                 got.matrix()
@@ -1425,21 +1352,24 @@ mod tests {
 
     #[test]
     fn plan_kinds_reject_the_wrong_refresh() {
-        let p = lumpable_chain();
+        let raw = lumpable_chain().into_inner();
+        let rawt = raw.transpose();
+        let mat = StochasticMatrix::with_tolerance(raw.clone(), 1e-6).unwrap();
+        let imp = ImplicitStochastic::with_tolerance(&raw, &rawt, 1e-6).unwrap();
         let part = Partition::from_labels(vec![0, 0, 1, 1]).unwrap();
-        let gplan = LumpPlan::build(&p, &part).unwrap();
-        let oplan = LumpPlan::from_op(&p, &part).unwrap();
+        let gplan = LumpPlan::build(&mat, &part).unwrap();
+        let oplan = LumpPlan::build(&imp, &part).unwrap();
         let mut gws = LumpWorkspace::for_plan(&gplan);
         let mut ows = LumpWorkspace::for_plan(&oplan);
         let w = [1.0; 4];
-        let mut out = lump_with_plan(&p, &part, &w, &gplan, &mut gws).unwrap();
-        // Gather plan through the operator entry point and vice versa.
-        assert!(lump_op_weighted_into(&p, &part, &w, &gplan, &mut ows, &mut out).is_err());
-        assert!(lump_weighted_into(&p, &part, &w, &oplan, &mut gws, &mut out).is_err());
-        // Workspace built for the gather plan lacks operator scratch.
-        assert!(lump_op_weighted_into(&p, &part, &w, &oplan, &mut gws, &mut out).is_err());
-        // The proper pairing works.
-        assert!(lump_op_weighted_into(&p, &part, &w, &oplan, &mut ows, &mut out).is_ok());
+        let mut out = lump_with_plan(&mat, &part, &w, &gplan, &mut gws).unwrap();
+        // A CSR chain needs a gather map; a matrix-free chain needs the
+        // row-traversal workspace.
+        assert!(lump_weighted_into(&mat, &part, &w, &oplan, &mut ows, &mut out).is_err());
+        assert!(lump_weighted_into(&imp, &part, &w, &gplan, &mut gws, &mut out).is_err());
+        // The proper pairings work.
+        assert!(lump_weighted_into(&imp, &part, &w, &oplan, &mut ows, &mut out).is_ok());
+        assert!(lump_weighted_into(&mat, &part, &w, &gplan, &mut gws, &mut out).is_ok());
     }
 
     #[test]

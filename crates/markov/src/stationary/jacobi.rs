@@ -86,37 +86,18 @@ impl JacobiSolver {
         self.sweep_op_into(op, diag, x, &mut y)
     }
 
-    /// Allocation-free sweep with caller-provided diagonal and scratch.
+    /// Allocation-free sweep against any operator, with caller-provided
+    /// diagonal and scratch.
     ///
-    /// `diag` must be `p`'s main diagonal and `y` a scratch vector of the
-    /// same length as `x`. Same bits as [`sweep_once`](Self::sweep_once);
-    /// multigrid smoothing hoists both buffers out of the cycle loop.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice lengths are inconsistent.
-    pub fn sweep_with_scratch(
-        &self,
-        p: &StochasticMatrix,
-        diag: &[f64],
-        x: &mut [f64],
-        y: &mut [f64],
-    ) -> f64 {
-        assert_eq!(x.len(), p.n(), "vector length must match state count");
-        assert_eq!(diag.len(), p.n(), "diagonal length must match state count");
-        self.sweep_op_into(p, diag, x, y)
-    }
-
-    /// Allocation-free sweep against any operator: like
-    /// [`sweep_with_scratch`](Self::sweep_with_scratch) but on a
-    /// [`TransitionOp`] (the implicit Kronecker path). `diag` must be the
-    /// operator's main diagonal; same bits as the materialized sweep when
-    /// the operator serves the materialized chain's values.
+    /// `diag` must be the operator's main diagonal and `y` a scratch
+    /// vector of the same length as `x`. Same bits as
+    /// [`sweep_once`](Self::sweep_once); multigrid smoothing hoists both
+    /// buffers out of the cycle loop.
     ///
     /// # Panics
     ///
     /// Panics if the slice lengths are inconsistent with the operator.
-    pub fn sweep_op_with_scratch(
+    pub fn sweep_with_scratch(
         &self,
         op: &dyn TransitionOp,
         diag: &[f64],

@@ -180,18 +180,6 @@ impl StochasticMatrix {
         vecops::dist1(&y, x)
     }
 
-    /// Allocation-free variant of
-    /// [`stationary_residual`](Self::stationary_residual): `scratch`
-    /// receives `x P`. Same bits as the allocating path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either slice length differs from `n()`.
-    pub fn stationary_residual_with(&self, x: &[f64], scratch: &mut [f64]) -> f64 {
-        self.step_into(x, scratch);
-        vecops::dist1(scratch, x)
-    }
-
     /// The transition probability `P(i -> j)`.
     ///
     /// # Panics
@@ -234,8 +222,8 @@ impl TransitionOp for StochasticMatrix {
         }
     }
 
-    fn diagonal(&self) -> Vec<f64> {
-        self.p.diagonal()
+    fn diagonal_into(&self, out: &mut [f64]) {
+        self.p.diagonal_into(out);
     }
 
     fn transpose_csr(&self) -> Option<&CsrMatrix> {
@@ -341,6 +329,16 @@ mod tests {
         let p = two_state(0.3, 0.6);
         assert_eq!(p.transposed().get(1, 0), 0.3);
         assert_eq!(p.transposed().get(0, 1), 0.6);
+    }
+
+    #[test]
+    fn transpose_op_default_forwards_the_csr_transpose() {
+        let p = two_state(0.3, 0.6);
+        let t = TransitionOp::transpose_op(&p).expect("the cached transpose is served");
+        let x = vec![0.1, 0.9];
+        assert_eq!(t.mul_right(&x), p.transposed().mul_right(&x));
+        // Backends without a cached transpose default to None.
+        assert!(TransitionOp::transpose_op(p.matrix()).is_none());
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! Smoothers used between grid transfers.
 //!
-//! Every sweep's hot product routes through the chain's cached transpose
-//! (`StochasticMatrix::step_into` → `CsrMatrix::mul_right_into`), so
-//! smoothing inherits the nnz-balanced `RowPartition` blocking and the
-//! persistent `linalg::par` worker pool on levels large enough to clear
-//! the parallel nnz gate; coarse levels stay serial by the same gate.
+//! Every sweep's hot product routes through the chain's left product
+//! (`mul_left_into`: the cached-transpose SpMV for a materialized chain,
+//! the row gather for an implicit one), so smoothing inherits the
+//! nnz-balanced `RowPartition` blocking and the persistent `linalg::par`
+//! worker pool on levels large enough to clear the parallel gate; coarse
+//! levels stay serial by the same gate.
 
+use stochcdr_linalg::vecops;
 use stochcdr_markov::stationary::{GaussSeidelSolver, JacobiSolver};
-use stochcdr_markov::{ImplicitStochastic, StochasticMatrix};
+use stochcdr_markov::{Chain, StochasticMatrix};
 
 /// The relaxation applied before and after each coarse-grid correction.
 ///
@@ -34,41 +36,25 @@ impl Smoother {
     ///
     /// Panics if `x.len() != p.n()` or (for Jacobi) `ω ∉ (0, 1]`.
     pub fn apply(&self, p: &StochasticMatrix, x: &mut [f64], sweeps: usize) {
-        match self {
-            Smoother::Jacobi { omega } => {
-                let j = JacobiSolver::new(f64::MIN_POSITIVE, 1, *omega);
-                for _ in 0..sweeps {
-                    j.sweep_once(p, x);
-                }
-            }
-            Smoother::GaussSeidel => {
-                let g = GaussSeidelSolver::new(f64::MIN_POSITIVE, 1);
-                for _ in 0..sweeps {
-                    g.sweep_once(p, x);
-                }
-            }
-            Smoother::Power => {
-                let mut buf = vec![0.0; x.len()];
-                for _ in 0..sweeps {
-                    p.step_into(x, &mut buf);
-                    x.copy_from_slice(&buf);
-                    stochcdr_linalg::vecops::normalize_l1(x);
-                }
-            }
-        }
+        let n = x.len();
+        self.apply_ws(p, x, sweeps, &mut vec![0.0; n], &mut vec![0.0; n]);
     }
 
-    /// Allocation-free variant of [`apply`](Self::apply) with caller-owned
-    /// scratch: `diag` receives `p`'s main diagonal (Jacobi only) and
-    /// `scratch` is a work vector, both of length `p.n()`. Same bits as
-    /// `apply`; the cycle loop hoists both buffers into the hierarchy.
+    /// Allocation-free variant of [`apply`](Self::apply) on any validated
+    /// chain, with caller-owned scratch: `diag` receives the chain's main
+    /// diagonal (Jacobi only, refreshed on every call) and `scratch` is a
+    /// work vector, both of length `p.rows()`. The cycle loop hoists both
+    /// buffers into the hierarchy.
     ///
     /// # Panics
     ///
-    /// Panics if the buffer lengths disagree with `p.n()`.
+    /// Panics if the buffer lengths disagree with `p.rows()`, or for
+    /// Gauss–Seidel on a chain without a cached CSR transpose (which
+    /// [`MultigridSolver::prepare`](crate::MultigridSolver::prepare)
+    /// rejects).
     pub(crate) fn apply_ws(
         &self,
-        p: &StochasticMatrix,
+        p: &dyn Chain,
         x: &mut [f64],
         sweeps: usize,
         diag: &mut [f64],
@@ -79,69 +65,26 @@ impl Smoother {
         }
         match self {
             Smoother::Jacobi { omega } => {
-                // The diagonal is constant across sweeps: hoist it once.
-                p.matrix().diagonal_into(diag);
+                // The diagonal is constant across sweeps: fetch it once.
+                p.diagonal_into(diag);
                 let j = JacobiSolver::new(f64::MIN_POSITIVE, 1, *omega);
                 for _ in 0..sweeps {
                     j.sweep_with_scratch(p, diag, x, scratch);
                 }
             }
             Smoother::GaussSeidel => {
-                let g = GaussSeidelSolver::new(f64::MIN_POSITIVE, 1);
+                let pt = p
+                    .transpose_csr()
+                    .expect("Gauss–Seidel smoothing needs a cached CSR transpose");
                 for _ in 0..sweeps {
-                    g.sweep_once(p, x);
+                    GaussSeidelSolver::sweep_transposed(pt, x);
                 }
             }
             Smoother::Power => {
                 for _ in 0..sweeps {
-                    p.step_into(x, scratch);
+                    p.mul_left_into(x, scratch);
                     x.copy_from_slice(&scratch[..x.len()]);
-                    stochcdr_linalg::vecops::normalize_l1(x);
-                }
-            }
-        }
-    }
-
-    /// Implicit-path twin of [`apply_ws`](Self::apply_ws): smooths against
-    /// a matrix-free [`ImplicitStochastic`] chain. `diag` must hold the
-    /// chain's main diagonal (hoisted once at hierarchy build — the
-    /// operator's values are fixed for the lifetime of the borrow, so the
-    /// diagonal never changes) and `scratch` a work vector of length
-    /// `imp.n()`. Produces the same bits as `apply_ws` on the materialized
-    /// twin of the same operator, at any thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the buffer lengths disagree with `imp.n()`.
-    pub(crate) fn apply_op_ws(
-        &self,
-        imp: &ImplicitStochastic<'_>,
-        x: &mut [f64],
-        sweeps: usize,
-        diag: &[f64],
-        scratch: &mut [f64],
-    ) {
-        if sweeps == 0 {
-            return;
-        }
-        match self {
-            Smoother::Jacobi { omega } => {
-                let j = JacobiSolver::new(f64::MIN_POSITIVE, 1, *omega);
-                for _ in 0..sweeps {
-                    j.sweep_op_with_scratch(imp, diag, x, scratch);
-                }
-            }
-            Smoother::GaussSeidel => {
-                let pt = imp.transposed_view();
-                for _ in 0..sweeps {
-                    GaussSeidelSolver::sweep_transposed_op(&pt, x);
-                }
-            }
-            Smoother::Power => {
-                for _ in 0..sweeps {
-                    imp.step_into(x, scratch);
-                    x.copy_from_slice(&scratch[..x.len()]);
-                    stochcdr_linalg::vecops::normalize_l1(x);
+                    vecops::normalize_l1(x);
                 }
             }
         }
@@ -158,7 +101,8 @@ impl Default for Smoother {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stochcdr_linalg::{vecops, CooMatrix};
+    use stochcdr_linalg::CooMatrix;
+    use stochcdr_markov::ImplicitStochastic;
 
     fn chain() -> StochasticMatrix {
         let n = 16;
@@ -202,16 +146,31 @@ mod tests {
             let mut b = a.clone();
             let mut diag = vec![0.0; 16];
             let mut scratch = vec![f64::NAN; 16];
-            s.apply(&p, &mut a, 7);
+            // Reference: the stationary solvers' own one-sweep kernels.
+            for _ in 0..7 {
+                match &s {
+                    Smoother::Jacobi { omega } => {
+                        JacobiSolver::new(f64::MIN_POSITIVE, 1, *omega).sweep_once(&p, &mut a);
+                    }
+                    Smoother::GaussSeidel => {
+                        GaussSeidelSolver::new(f64::MIN_POSITIVE, 1).sweep_once(&p, &mut a);
+                    }
+                    Smoother::Power => {
+                        a = p.step(&a);
+                        vecops::normalize_l1(&mut a);
+                    }
+                }
+            }
             s.apply_ws(&p, &mut b, 7, &mut diag, &mut scratch);
             assert_eq!(a, b, "{s:?}");
         }
     }
 
     #[test]
-    fn apply_op_ws_matches_apply_ws_bitwise() {
+    fn implicit_chain_smooths_bitwise_like_materialized() {
         // The implicit chain wraps the same raw CSR the materialized chain
-        // validated; every smoother must produce identical bits.
+        // validated; the Jacobi and power smoothers must produce identical
+        // bits (Gauss–Seidel needs the materialized chain's transpose).
         let n = 16;
         let mut coo = CooMatrix::new(n, n);
         for i in 0..n {
@@ -223,21 +182,15 @@ mod tests {
         let p = StochasticMatrix::with_tolerance(raw.clone(), 1e-6).unwrap();
         let rawt = raw.transpose();
         let imp = ImplicitStochastic::with_tolerance(&raw, &rawt, 1e-6).unwrap();
-        let mut diag = vec![0.0; n];
-        stochcdr_linalg::TransitionOp::diagonal_into(&imp, &mut diag);
-        for s in [
-            Smoother::Jacobi { omega: 0.8 },
-            Smoother::GaussSeidel,
-            Smoother::Power,
-        ] {
+        for s in [Smoother::Jacobi { omega: 0.8 }, Smoother::Power] {
             let mut a: Vec<f64> = (0..n).map(|i| (i + 1) as f64).collect();
             vecops::normalize_l1(&mut a);
             let mut b = a.clone();
-            let mut mdiag = vec![0.0; n];
+            let (mut da, mut db) = (vec![0.0; n], vec![0.0; n]);
             let mut sa = vec![f64::NAN; n];
             let mut sb = vec![f64::NAN; n];
-            s.apply_ws(&p, &mut a, 5, &mut mdiag, &mut sa);
-            s.apply_op_ws(&imp, &mut b, 5, &diag, &mut sb);
+            s.apply_ws(&p, &mut a, 5, &mut da, &mut sa);
+            s.apply_ws(&imp, &mut b, 5, &mut db, &mut sb);
             assert_eq!(a, b, "{s:?}");
         }
     }

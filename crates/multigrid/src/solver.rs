@@ -1,9 +1,9 @@
 //! The multi-level aggregation/disaggregation solver.
 //!
-//! Threading: the grid-transfer kernels (`lump_weighted_into` /
-//! `lump_op_weighted_into`) fan out over the `LumpPlan`'s precomputed
-//! gather-weight `RowPartition`, and every smoothing/residual product
-//! rides the operator's own partition through `mul_right_into` — all on
+//! Threading: the grid-transfer kernel (`lump_weighted_into`) fans out
+//! over the `LumpPlan`'s precomputed gather-weight `RowPartition` (or its
+//! coarse-row groups on an implicit fine grid), and every
+//! smoothing/residual product rides the chain's own partition — all on
 //! the persistent `linalg::par` pool, with block fences that are a pure
 //! function of the operator, never of the thread count.
 
@@ -11,14 +11,12 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use stochcdr_linalg::{vecops, TransitionOp};
-use stochcdr_markov::lumping::{
-    disaggregate_scaled, lump_op_weighted_into, lump_weighted_into, LumpPlan, Partition,
-};
+use stochcdr_markov::lumping::{disaggregate_scaled, lump_weighted_into, LumpPlan, Partition};
 use stochcdr_markov::stationary::{
     ConvergenceSummary, ConvergenceTrace, GthSolver, SolveReport, StationaryResult,
     StationarySolver,
 };
-use stochcdr_markov::{ImplicitStochastic, MarkovError, Result, StochasticMatrix};
+use stochcdr_markov::{Chain, ImplicitStochastic, MarkovError, Result, StochasticMatrix};
 use stochcdr_obs as obs;
 
 use crate::hierarchy::{CoarseWs, MgHierarchy, MgLevel, MgPhases};
@@ -43,30 +41,6 @@ const LEVEL_SPANS: [&str; 12] = [
 
 fn level_span(level: usize) -> &'static str {
     LEVEL_SPANS[level.min(LEVEL_SPANS.len() - 1)]
-}
-
-/// The finest level's chain backend. Coarse levels are always materialized
-/// (`StochasticMatrix`); the fine grid is either materialized too, or a
-/// matrix-free [`ImplicitStochastic`] wrapper around a product-form
-/// operator whose joint TPM never exists in memory. All value-level
-/// arithmetic is shared between the two arms, so a solve through `Op` is
-/// bit-identical to one through `Mat` whenever the operator serves the
-/// materialized chain's values.
-#[derive(Clone, Copy)]
-enum FineLevel<'a, 'b> {
-    /// Materialized fine chain.
-    Mat(&'a StochasticMatrix),
-    /// Implicit (matrix-free) fine chain.
-    Op(&'a ImplicitStochastic<'b>),
-}
-
-impl FineLevel<'_, '_> {
-    fn n(&self) -> usize {
-        match self {
-            FineLevel::Mat(p) => p.n(),
-            FineLevel::Op(imp) => imp.n(),
-        }
-    }
 }
 
 /// Recursion pattern of the multigrid cycle.
@@ -510,97 +484,87 @@ impl MultigridSolver {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`StationarySolver::solve`].
+    /// Same conditions as [`prepare`](Self::prepare) and
+    /// [`StationarySolver::solve`].
     pub fn solve_with_stats(
         &self,
-        p: &StochasticMatrix,
+        fine: &dyn Chain,
         init: Option<&[f64]>,
     ) -> Result<(StationaryResult, MultigridStats)> {
-        let mut h = self.prepare(p)?;
-        self.solve_prepared(p, &mut h, init)
+        let mut h = self.prepare(fine)?;
+        self.solve_prepared(fine, &mut h, init)
     }
 
-    /// One-time symbolic + storage setup for `p`: validates the partition
-    /// sequence, runs (or adopts injected) symbolic lumping plans, and
-    /// allocates every buffer the cycle loop needs. The returned hierarchy
-    /// is valid for any chain sharing `p`'s sparsity pattern — value
-    /// changes never require re-preparation.
+    /// One-time symbolic + storage setup for the fine chain: validates the
+    /// partition sequence, runs (or adopts injected) symbolic lumping
+    /// plans, and allocates every buffer the cycle loop needs. The fine
+    /// chain is either materialized ([`StochasticMatrix`]) or matrix-free
+    /// ([`ImplicitStochastic`]); the level-0 refresh follows
+    /// [`Chain::csr`] (gather map with CSR storage, row traversal
+    /// without), and only the coarse levels are ever materialized. The
+    /// returned hierarchy is valid for any chain sharing the fine chain's
+    /// sparsity pattern — value changes never require re-preparation.
     ///
     /// Instrumented as the `mg.setup` span.
     ///
     /// # Errors
     ///
     /// Returns [`MarkovError::InvalidArgument`] when the finest partition
-    /// does not cover `p`, when the coarsest level exceeds the
-    /// direct-solve cap, or when injected plans do not match.
-    pub fn prepare(&self, p: &StochasticMatrix) -> Result<MgHierarchy> {
+    /// does not cover the chain, when the coarsest level exceeds the
+    /// direct-solve cap, when injected plans do not match, when a
+    /// chain without CSR storage would be the coarsest level (the direct
+    /// solve needs a materialized chain), or when Gauss–Seidel smoothing
+    /// meets a fine chain without a cached CSR transpose.
+    pub fn prepare(&self, fine: &dyn Chain) -> Result<MgHierarchy> {
+        let n = fine.rows();
         if let Some(part) = self.partitions.first() {
-            if part.n() != p.n() {
+            if part.n() != n {
                 return Err(MarkovError::InvalidArgument(format!(
-                    "finest partition covers {} states, chain has {}",
-                    part.n(),
-                    p.n()
+                    "finest partition covers {} states, chain has {n}",
+                    part.n()
                 )));
             }
         }
-        let coarsest = self.partitions.last().map_or(p.n(), Partition::block_count);
+        let coarsest = self.partitions.last().map_or(n, Partition::block_count);
         if coarsest > self.coarse_direct_max {
             return Err(MarkovError::InvalidArgument(format!(
                 "coarsest level has {coarsest} states, exceeding the direct-solve cap {}; \
                  add more coarsening levels",
                 self.coarse_direct_max
             )));
+        }
+        if self.partitions.is_empty() && fine.csr().is_none() {
+            return Err(MarkovError::InvalidArgument(
+                "implicit fine grid needs at least one coarsening level: the coarsest \
+                 level must be materialized for the direct solve"
+                    .into(),
+            ));
+        }
+        if self.smoother == Smoother::GaussSeidel && fine.transpose_csr().is_none() {
+            return Err(MarkovError::InvalidArgument(
+                "Gauss–Seidel smoothing needs a cached CSR transpose of the fine chain; \
+                 use Jacobi or power smoothing on an implicit fine grid"
+                    .into(),
+            ));
         }
         let t0 = Instant::now();
         let _span = obs::span("mg.setup");
         let plans = match &self.plans {
             Some(pl) => Arc::clone(pl),
-            None => Arc::new(LumpPlan::build_stack(p, &self.partitions)?),
+            None => Arc::new(LumpPlan::build_stack(fine, &self.partitions)?),
         };
-        let mut h = MgHierarchy::build(p, &self.partitions, plans)?;
+        let mut h = MgHierarchy::build(fine, &self.partitions, plans)?;
         h.phases.setup_secs = t0.elapsed().as_secs_f64();
         Ok(h)
     }
 
-    /// Implicit-path twin of [`prepare`](Self::prepare): one-time setup
-    /// for a matrix-free fine grid. The finest symbolic plan is built by
-    /// traversing the operator's rows ([`LumpPlan::from_op`]); only the
-    /// coarse levels are materialized. Injected plans
-    /// ([`MultigridBuilder::plans`]) must have an operator-built finest
-    /// plan.
+    /// [`prepare`](Self::prepare) for an implicit fine chain.
     ///
     /// # Errors
     ///
-    /// Returns [`MarkovError::InvalidArgument`] when the partition
-    /// sequence is empty (the coarsest direct solve needs a materialized
-    /// chain), does not cover the operator, or exceeds the direct-solve
-    /// cap; plan mismatches are rejected as in `prepare`.
+    /// Same conditions as [`prepare`](Self::prepare).
     pub fn prepare_op(&self, imp: &ImplicitStochastic<'_>) -> Result<MgHierarchy> {
-        if let Some(part) = self.partitions.first() {
-            if part.n() != imp.n() {
-                return Err(MarkovError::InvalidArgument(format!(
-                    "finest partition covers {} states, chain has {}",
-                    part.n(),
-                    imp.n()
-                )));
-            }
-        }
-        let coarsest = self
-            .partitions
-            .last()
-            .map_or(imp.n(), Partition::block_count);
-        if coarsest > self.coarse_direct_max {
-            return Err(MarkovError::InvalidArgument(format!(
-                "coarsest level has {coarsest} states, exceeding the direct-solve cap {}; \
-                 add more coarsening levels",
-                self.coarse_direct_max
-            )));
-        }
-        let t0 = Instant::now();
-        let _span = obs::span("mg.setup");
-        let mut h = MgHierarchy::build_op(imp, &self.partitions, self.plans.clone())?;
-        h.phases.setup_secs = t0.elapsed().as_secs_f64();
-        Ok(h)
+        self.prepare(imp)
     }
 
     /// Runs one multigrid cycle against a prepared hierarchy and returns
@@ -620,8 +584,8 @@ impl MultigridSolver {
     ///
     /// Returns [`MarkovError::InvalidArgument`] if `h` was prepared for a
     /// different pattern, or propagates coarse-solve failures.
-    pub fn cycle(&self, p: &StochasticMatrix, h: &mut MgHierarchy, x: &mut [f64]) -> Result<f64> {
-        self.cycle_with(self.schedule.initial(), p, h, x)
+    pub fn cycle(&self, fine: &dyn Chain, h: &mut MgHierarchy, x: &mut [f64]) -> Result<f64> {
+        self.cycle_with(self.schedule.initial(), fine, h, x)
     }
 
     /// [`cycle`](Self::cycle) with an explicit cycle kind, overriding the
@@ -634,11 +598,11 @@ impl MultigridSolver {
     pub fn cycle_with(
         &self,
         kind: CycleKind,
-        p: &StochasticMatrix,
+        fine: &dyn Chain,
         h: &mut MgHierarchy,
         x: &mut [f64],
     ) -> Result<f64> {
-        if !h.matches(p) {
+        if !h.matches(fine) {
             return Err(MarkovError::InvalidArgument(
                 "hierarchy was prepared for a different chain".into(),
             ));
@@ -651,63 +615,9 @@ impl MultigridSolver {
             phases,
             ..
         } = h;
-        self.run_cycle(FineLevel::Mat(p), kind, 0, plans, levels, gth, phases, x)?;
+        self.run_cycle(fine, kind, 0, plans, levels, gth, phases, x)?;
         let t0 = Instant::now();
-        let res = p.stationary_residual_with(x, resid);
-        phases.residual_secs += t0.elapsed().as_secs_f64();
-        Ok(res)
-    }
-
-    /// Implicit-path twin of [`cycle`](Self::cycle): runs one multigrid
-    /// cycle with a matrix-free fine grid. The fine-level aggregation
-    /// re-traverses the operator's rows (no materialized storage), fine
-    /// smoothing runs on the operator's product kernels, and the residual
-    /// is evaluated matrix-free; everything below level 0 is the exact
-    /// materialized cycle. Allocation-free after
-    /// [`prepare_op`](Self::prepare_op), like the materialized path.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MarkovError::InvalidArgument`] if `h` was not prepared
-    /// for this operator's shape, or propagates coarse-solve failures.
-    pub fn cycle_op(
-        &self,
-        imp: &ImplicitStochastic<'_>,
-        h: &mut MgHierarchy,
-        x: &mut [f64],
-    ) -> Result<f64> {
-        self.cycle_op_with(self.schedule.initial(), imp, h, x)
-    }
-
-    /// [`cycle_op`](Self::cycle_op) with an explicit cycle kind — the
-    /// implicit twin of [`cycle_with`](Self::cycle_with).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`cycle_op`](Self::cycle_op).
-    pub fn cycle_op_with(
-        &self,
-        kind: CycleKind,
-        imp: &ImplicitStochastic<'_>,
-        h: &mut MgHierarchy,
-        x: &mut [f64],
-    ) -> Result<f64> {
-        if !h.matches_op(imp) {
-            return Err(MarkovError::InvalidArgument(
-                "hierarchy was prepared for a different chain".into(),
-            ));
-        }
-        let MgHierarchy {
-            plans,
-            levels,
-            gth,
-            resid,
-            phases,
-            ..
-        } = h;
-        self.run_cycle(FineLevel::Op(imp), kind, 0, plans, levels, gth, phases, x)?;
-        let t0 = Instant::now();
-        let res = imp.stationary_residual_with(x, resid);
+        let res = residual(fine, x, resid);
         phases.residual_secs += t0.elapsed().as_secs_f64();
         Ok(res)
     }
@@ -722,83 +632,42 @@ impl MultigridSolver {
     /// Same conditions as [`StationarySolver::solve`].
     pub fn solve_prepared(
         &self,
-        p: &StochasticMatrix,
+        fine: &dyn Chain,
         h: &mut MgHierarchy,
         init: Option<&[f64]>,
     ) -> Result<(StationaryResult, MultigridStats)> {
-        if !h.matches(p) {
+        if !h.matches(fine) {
             return Err(MarkovError::InvalidArgument(
                 "hierarchy was prepared for a different chain".into(),
             ));
         }
         let x = match init {
-            None if self.fmg => self.fmg_initial(p, h)?,
-            None => vecops::uniform(p.n()),
-            Some(v) => checked_init(p.n(), v)?,
+            None if self.fmg => self.fmg_initial(fine, h)?,
+            None => vecops::uniform(fine.rows()),
+            Some(v) => checked_init(fine.rows(), v)?,
         };
-        self.solve_loop(FineLevel::Mat(p), h, x)
+        self.solve_loop(fine, h, x)
     }
 
-    /// Implicit-path twin of [`solve_prepared`](Self::solve_prepared):
-    /// cycles a hierarchy prepared by [`prepare_op`](Self::prepare_op) to
-    /// convergence against a matrix-free fine grid. When the operator
-    /// serves the same values a materialized chain would, the returned
-    /// distribution, cycle count and residuals are bit-identical to the
-    /// materialized solve, at any thread count.
-    ///
-    /// FMG initialization is not available on this path (it smooths on
-    /// every level's chain, including the fine one, with allocation);
-    /// pass an explicit `init` or start uniform.
+    /// [`solve_prepared`](Self::solve_prepared) for an implicit fine
+    /// chain.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`solve_prepared`](Self::solve_prepared), plus
-    /// [`MarkovError::InvalidArgument`] when FMG is enabled.
+    /// Same conditions as [`solve_prepared`](Self::solve_prepared).
     pub fn solve_op_prepared(
         &self,
         imp: &ImplicitStochastic<'_>,
         h: &mut MgHierarchy,
         init: Option<&[f64]>,
     ) -> Result<(StationaryResult, MultigridStats)> {
-        if !h.matches_op(imp) {
-            return Err(MarkovError::InvalidArgument(
-                "hierarchy was prepared for a different chain".into(),
-            ));
-        }
-        let x = match init {
-            None if self.fmg => {
-                return Err(MarkovError::InvalidArgument(
-                    "FMG initialization is not available on the implicit path".into(),
-                ));
-            }
-            None => vecops::uniform(imp.n()),
-            Some(v) => checked_init(imp.n(), v)?,
-        };
-        self.solve_loop(FineLevel::Op(imp), h, x)
+        self.solve_prepared(imp, h, init)
     }
 
-    /// Prepares and solves against a matrix-free fine grid in one call —
-    /// the implicit twin of [`solve_with_stats`](Self::solve_with_stats).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`prepare_op`](Self::prepare_op) and
-    /// [`solve_op_prepared`](Self::solve_op_prepared).
-    pub fn solve_op_with_stats(
-        &self,
-        imp: &ImplicitStochastic<'_>,
-        init: Option<&[f64]>,
-    ) -> Result<(StationaryResult, MultigridStats)> {
-        let mut h = self.prepare_op(imp)?;
-        self.solve_op_prepared(imp, &mut h, init)
-    }
-
-    /// The shared cycle loop: identical control flow for both fine-grid
-    /// backends, so the materialized path's bits are untouched by the
-    /// implicit path's existence.
+    /// The cycle loop behind [`solve_prepared`](Self::solve_prepared).
     fn solve_loop(
         &self,
-        fine: FineLevel<'_, '_>,
+        fine: &dyn Chain,
         h: &mut MgHierarchy,
         mut x: Vec<f64>,
     ) -> Result<(StationaryResult, MultigridStats)> {
@@ -810,11 +679,11 @@ impl MultigridSolver {
             "multigrid.hierarchy",
             &[
                 ("levels", self.levels().into()),
-                ("fine_states", fine.n().into()),
+                ("fine_states", fine.rows().into()),
                 ("coarsest_states", coarsest_size.into()),
                 (
                     "coarsening_ratio",
-                    (fine.n() as f64 / coarsest_size.max(1) as f64).into(),
+                    (fine.rows() as f64 / coarsest_size.max(1) as f64).into(),
                 ),
             ],
         );
@@ -852,7 +721,7 @@ impl MultigridSolver {
 
         let mut kind = self.schedule.initial();
         let mut krylov = match self.accel {
-            Some(a) if !a.on_stall_only => Some(KrylovWindow::new(fine.n(), a.restart)),
+            Some(a) if !a.on_stall_only => Some(KrylovWindow::new(fine.rows(), a.restart)),
             _ => None,
         };
         let mut krylov_windows = 0u64;
@@ -873,10 +742,7 @@ impl MultigridSolver {
             }
             let cycle_t0 = obs::enabled().then(Instant::now);
             let cycle_span = obs::span("cycle");
-            let mut res = match fine {
-                FineLevel::Mat(p) => self.cycle_with(kind, p, h, &mut x)?,
-                FineLevel::Op(imp) => self.cycle_op_with(kind, imp, h, &mut x)?,
-            };
+            let mut res = self.cycle_with(kind, fine, h, &mut x)?;
             drop(cycle_span);
             cycle_equivalents += kind_cost(kind);
             if let Some(w) = krylov.as_mut() {
@@ -890,15 +756,15 @@ impl MultigridSolver {
                     if w.extrapolate() {
                         // Safeguard: one true fine-grid residual for the
                         // candidate (priced like any other fine apply).
-                        let res_y = match fine {
-                            FineLevel::Mat(p) => p.stationary_residual_with(&w.y, &mut h.resid),
-                            FineLevel::Op(imp) => imp.stationary_residual_with(&w.y, &mut h.resid),
-                        };
+                        let res_y = residual(fine, &w.y, &mut h.resid);
                         cycle_equivalents += fine_apply_cost;
                         if res_y < res {
                             krylov_accepts += 1;
                             obs::counter("solver.krylov.accepts", 1);
-                            obs::histogram("solver.krylov.gain", res / res_y.max(f64::MIN_POSITIVE));
+                            obs::histogram(
+                                "solver.krylov.gain",
+                                res / res_y.max(f64::MIN_POSITIVE),
+                            );
                             x.copy_from_slice(&w.y);
                             res = res_y;
                         } else {
@@ -917,7 +783,7 @@ impl MultigridSolver {
                         "solver.krylov.armed",
                         &[("cycle", cycle.into()), ("restart", a.restart.into())],
                     );
-                    krylov = Some(KrylovWindow::new(fine.n(), a.restart));
+                    krylov = Some(KrylovWindow::new(fine.rows(), a.restart));
                 }
             }
             if heartbeat.active() {
@@ -943,10 +809,7 @@ impl MultigridSolver {
                 // Clamping perturbs the iterate, so the pre-clamp residual
                 // no longer describes the distribution actually returned:
                 // recompute it and keep history's last entry in sync.
-                let final_res = match fine {
-                    FineLevel::Mat(p) => p.stationary_residual_with(&x, &mut h.resid),
-                    FineLevel::Op(imp) => imp.stationary_residual_with(&x, &mut h.resid),
-                };
+                let final_res = residual(fine, &x, &mut h.resid);
                 *history.last_mut().expect("pushed above") = final_res;
                 obs::event(
                     "multigrid.converged",
@@ -997,17 +860,17 @@ impl MultigridSolver {
     /// coarsest chain and prolongs back up with the cached uniform shares,
     /// smoothing at each level. One-time initialization: allocation here
     /// is fine.
-    fn fmg_initial(&self, p: &StochasticMatrix, h: &mut MgHierarchy) -> Result<Vec<f64>> {
+    fn fmg_initial(&self, fine: &dyn Chain, h: &mut MgHierarchy) -> Result<Vec<f64>> {
         // Re-refresh every level with uniform weights: a freshly prepared
         // hierarchy already is (this is a bit-identical no-op there), but a
         // reused one holds iterate-weighted chains from previous cycles.
         for k in 0..h.levels.len() {
             let (done, rest) = h.levels.split_at_mut(k);
             let lvl = &mut rest[0];
-            let fine = if k == 0 { p } else { &done[k - 1].coarse };
-            let ones = vec![1.0; fine.n()];
+            let chain: &dyn Chain = if k == 0 { fine } else { &done[k - 1].coarse };
+            let ones = vec![1.0; chain.rows()];
             lump_weighted_into(
-                fine,
+                chain,
                 &self.partitions[k],
                 &ones,
                 &h.plans[k],
@@ -1016,20 +879,24 @@ impl MultigridSolver {
             )?;
         }
         let MgHierarchy { levels, gth, .. } = h;
-        let coarsest = levels.last().map_or(p, |l| &l.coarse);
-        let mut x = vecops::uniform(coarsest.n());
+        let mut x = vecops::uniform(levels.last().map_or(fine.rows(), |l| l.coarse.n()));
+        let coarsest: &dyn Chain = levels.last().map_or(fine, |l| &l.coarse);
         self.solve_coarsest_ws(coarsest, gth, &mut x)?;
         // Prolong upward with uniform in-block weights, smoothing as we go.
         for (level, part) in self.partitions.iter().enumerate().rev() {
             let mut xf = vec![0.0; part.n()];
             disaggregate_scaled(part, &x, levels[level].ws.wscale(), &mut xf);
             vecops::normalize_l1(&mut xf);
-            let chain = if level == 0 {
-                p
+            let (done, rest) = levels.split_at_mut(level);
+            let chain: &dyn Chain = if level == 0 {
+                fine
             } else {
-                &levels[level - 1].coarse
+                &done[level - 1].coarse
             };
-            self.smoother.apply(chain, &mut xf, self.post_sweeps.max(1));
+            let lvl = &mut rest[0];
+            let sweeps = self.post_sweeps.max(1);
+            self.smoother
+                .apply_ws(chain, &mut xf, sweeps, &mut lvl.diag, &mut lvl.sm);
             x = xf;
         }
         Ok(x)
@@ -1038,60 +905,26 @@ impl MultigridSolver {
     /// Smoothing sweeps with per-level accounting: a `smooth` span, the
     /// level's sweep counter, and a per-level sweep-time histogram. The
     /// owned names only materialize when instrumentation is enabled.
-    #[allow(clippy::too_many_arguments)]
     fn smooth_ws(
         &self,
-        chain: &StochasticMatrix,
+        chain: &dyn Chain,
         x: &mut [f64],
         sweeps: usize,
         level: usize,
-        diag: &mut [f64],
-        scratch: &mut [f64],
+        lvl: &mut MgLevel,
         ph: &mut MgPhases,
     ) {
         let t0 = Instant::now();
         if !obs::enabled() {
-            self.smoother.apply_ws(chain, x, sweeps, diag, scratch);
+            self.smoother
+                .apply_ws(chain, x, sweeps, &mut lvl.diag, &mut lvl.sm);
             ph.smooth_secs += t0.elapsed().as_secs_f64();
             return;
         }
         {
             let _span = obs::span("smooth");
-            self.smoother.apply_ws(chain, x, sweeps, diag, scratch);
-        }
-        let ns = t0.elapsed().as_nanos() as f64;
-        ph.smooth_secs += ns * 1e-9;
-        obs::counter(
-            &format!("multigrid.smooth_sweeps.level{level}"),
-            sweeps as u64,
-        );
-        obs::histogram(&format!("multigrid.smooth.ns.level{level}"), ns);
-    }
-
-    /// Implicit twin of [`smooth_ws`](Self::smooth_ws): identical
-    /// accounting, smoothing against the matrix-free fine chain. `diag` is
-    /// read-only — the operator's diagonal was hoisted once at hierarchy
-    /// build (recomputing it from a Kronecker operator allocates).
-    #[allow(clippy::too_many_arguments)]
-    fn smooth_op_ws(
-        &self,
-        imp: &ImplicitStochastic<'_>,
-        x: &mut [f64],
-        sweeps: usize,
-        level: usize,
-        diag: &[f64],
-        scratch: &mut [f64],
-        ph: &mut MgPhases,
-    ) {
-        let t0 = Instant::now();
-        if !obs::enabled() {
-            self.smoother.apply_op_ws(imp, x, sweeps, diag, scratch);
-            ph.smooth_secs += t0.elapsed().as_secs_f64();
-            return;
-        }
-        {
-            let _span = obs::span("smooth");
-            self.smoother.apply_op_ws(imp, x, sweeps, diag, scratch);
+            self.smoother
+                .apply_ws(chain, x, sweeps, &mut lvl.diag, &mut lvl.sm);
         }
         let ns = t0.elapsed().as_nanos() as f64;
         ph.smooth_secs += ns * 1e-9;
@@ -1109,7 +942,7 @@ impl MultigridSolver {
     #[allow(clippy::too_many_arguments)]
     fn run_cycle(
         &self,
-        chain: FineLevel<'_, '_>,
+        chain: &dyn Chain,
         kind: CycleKind,
         level: usize,
         plans: &[LumpPlan],
@@ -1120,42 +953,20 @@ impl MultigridSolver {
     ) -> Result<()> {
         let _level_span = obs::span(level_span(level));
         let Some((lvl, rest)) = levels.split_first_mut() else {
-            let FineLevel::Mat(chain) = chain else {
-                // `prepare_op` rejects empty partition sequences, so the
-                // implicit fine grid never reaches the coarsest arm.
-                return Err(MarkovError::InvalidArgument(
-                    "implicit fine grid cannot be the coarsest level".into(),
-                ));
-            };
             let t0 = Instant::now();
             let _span = obs::span("coarse_solve");
             let r = self.solve_coarsest_ws(chain, cw, x);
             ph.coarse_solve_secs += t0.elapsed().as_secs_f64();
             return r;
         };
-        match chain {
-            FineLevel::Mat(p) => {
-                self.smooth_ws(p, x, self.pre_sweeps, level, &mut lvl.diag, &mut lvl.sm, ph)
-            }
-            FineLevel::Op(imp) => {
-                self.smooth_op_ws(imp, x, self.pre_sweeps, level, &lvl.diag, &mut lvl.sm, ph)
-            }
-        }
+        self.smooth_ws(chain, x, self.pre_sweeps, level, lvl, ph);
 
         let part = &self.partitions[level];
-        let plan = &plans[level];
         let t0 = Instant::now();
         let agg_span = obs::span("aggregate");
         {
             let _refresh = obs::span("mg.refresh");
-            match chain {
-                FineLevel::Mat(p) => {
-                    lump_weighted_into(p, part, x, plan, &mut lvl.ws, &mut lvl.coarse)?
-                }
-                FineLevel::Op(imp) => {
-                    lump_op_weighted_into(imp, part, x, plan, &mut lvl.ws, &mut lvl.coarse)?
-                }
-            }
+            lump_weighted_into(chain, part, x, &plans[level], &mut lvl.ws, &mut lvl.coarse)?;
         }
         // The refresh's block-weight pass *is* the restriction: same block
         // sums, same order, same bits as `aggregate(part, x)`.
@@ -1165,7 +976,7 @@ impl MultigridSolver {
         ph.aggregate_secs += t0.elapsed().as_secs_f64();
         for child in kind.children(level).into_iter().flatten() {
             self.run_cycle(
-                FineLevel::Mat(&lvl.coarse),
+                &lvl.coarse,
                 child,
                 level + 1,
                 plans,
@@ -1182,20 +993,7 @@ impl MultigridSolver {
         drop(disagg_span);
         ph.disaggregate_secs += t0.elapsed().as_secs_f64();
 
-        match chain {
-            FineLevel::Mat(p) => self.smooth_ws(
-                p,
-                x,
-                self.post_sweeps,
-                level,
-                &mut lvl.diag,
-                &mut lvl.sm,
-                ph,
-            ),
-            FineLevel::Op(imp) => {
-                self.smooth_op_ws(imp, x, self.post_sweeps, level, &lvl.diag, &mut lvl.sm, ph)
-            }
-        }
+        self.smooth_ws(chain, x, self.post_sweeps, level, lvl, ph);
         Ok(())
     }
 
@@ -1203,28 +1001,23 @@ impl MultigridSolver {
     /// when the (weight-dependent) coarse chain is numerically reducible.
     /// The dense scratch is reused across cycles: zero it, scatter the
     /// chain's entries (what `to_dense` builds), eliminate in place.
-    fn solve_coarsest_ws(
-        &self,
-        chain: &StochasticMatrix,
-        cw: &mut CoarseWs,
-        x: &mut [f64],
-    ) -> Result<()> {
+    fn solve_coarsest_ws(&self, chain: &dyn Chain, cw: &mut CoarseWs, x: &mut [f64]) -> Result<()> {
         let gth_span = obs::span("markov.gth");
         cw.dense.fill(0.0);
-        let m = chain.matrix();
-        for r in 0..chain.n() {
+        for r in 0..chain.rows() {
             let row = cw.dense.row_mut(r);
-            for (c, v) in m.row(r) {
-                row[c] = v;
-            }
+            chain.for_each_in_row(r, &mut |c, v| row[c] = v);
         }
         match GthSolver::new().solve_dense_in_place(&mut cw.dense, x) {
             Ok(()) => {
                 if obs::enabled() {
-                    let residual = chain.stationary_residual_with(x, &mut cw.resid);
+                    let residual = residual(chain, x, &mut cw.resid);
                     obs::event(
                         "markov.gth",
-                        &[("states", chain.n().into()), ("residual", residual.into())],
+                        &[
+                            ("states", chain.rows().into()),
+                            ("residual", residual.into()),
+                        ],
                     );
                 }
                 Ok(())
@@ -1241,6 +1034,13 @@ impl MultigridSolver {
             Err(e) => Err(e),
         }
     }
+}
+
+/// The L1 stationarity residual `‖xP − x‖₁` of `x` on `chain`; `scratch`
+/// receives `xP` (the Krylov window reads it back).
+fn residual(chain: &dyn Chain, x: &[f64], scratch: &mut [f64]) -> f64 {
+    chain.mul_left_into(x, scratch);
+    vecops::dist1(scratch, x)
 }
 
 /// Workspace for the windowed minimal-residual extrapolation: `restart`
@@ -1412,6 +1212,7 @@ impl StationarySolver for MultigridSolver {
 mod tests {
     use super::*;
     use crate::{GeometricCoarsening, PairwiseCoarsening};
+    use stochcdr_fsm::KroneckerOp;
     use stochcdr_linalg::CooMatrix;
     use stochcdr_markov::stationary::PowerIteration;
 
@@ -1570,14 +1371,19 @@ mod tests {
         let mat = StochasticMatrix::with_tolerance(raw.clone(), 1e-6).unwrap();
         let rawt = raw.transpose();
         let imp = ImplicitStochastic::with_tolerance(&raw, &rawt, 1e-6).unwrap();
-        for smoother in [Smoother::Jacobi { omega: 0.8 }, Smoother::GaussSeidel] {
+        for (smoother, fmg) in [
+            (Smoother::Jacobi { omega: 0.8 }, false),
+            (Smoother::Power, false),
+            (Smoother::Jacobi { omega: 0.8 }, true),
+        ] {
             let solver = MultigridSolver::builder(PairwiseCoarsening::until(4).levels(32))
                 .cycle(CycleKind::W)
                 .smoother(smoother.clone())
+                .fmg(fmg)
                 .tol(1e-12)
                 .build();
             let (rm, sm) = solver.solve_with_stats(&mat, None).unwrap();
-            let (ri, si) = solver.solve_op_with_stats(&imp, None).unwrap();
+            let (ri, si) = solver.solve_with_stats(&imp, None).unwrap();
             assert_eq!(rm.iterations(), ri.iterations(), "{smoother:?}");
             assert_eq!(
                 rm.residual().to_bits(),
@@ -1612,7 +1418,7 @@ mod tests {
             .tol(1e-11)
             .plans(Arc::clone(h.plans()))
             .build();
-        let (c, _) = reuse.solve_op_with_stats(&imp, None).unwrap();
+        let (c, _) = reuse.solve_with_stats(&imp, None).unwrap();
         assert_eq!(a.distribution, c.distribution);
     }
 
@@ -1627,14 +1433,6 @@ mod tests {
             direct.prepare_op(&imp),
             Err(MarkovError::InvalidArgument(_))
         ));
-        // FMG needs the materialized path.
-        let fmg = MultigridSolver::builder(PairwiseCoarsening::until(4).levels(16))
-            .fmg(true)
-            .build();
-        assert!(matches!(
-            fmg.solve_op_with_stats(&imp, None),
-            Err(MarkovError::InvalidArgument(_))
-        ));
         // Mismatched hierarchy rejected.
         let solver = MultigridSolver::builder(PairwiseCoarsening::until(4).levels(16)).build();
         let mut h = solver.prepare_op(&imp).unwrap();
@@ -1642,7 +1440,71 @@ mod tests {
         let other_t = other_raw.transpose();
         let other = ImplicitStochastic::with_tolerance(&other_raw, &other_t, 1e-6).unwrap();
         let mut x = vecops::uniform(32);
-        assert!(solver.cycle_op(&other, &mut h, &mut x).is_err());
+        assert!(solver.cycle(&other, &mut h, &mut x).is_err());
+        // A hierarchy prepared matrix-free never matches a materialized
+        // chain of the same size, and vice versa.
+        let mat = birth_death(16, 0.4);
+        let mut x = vecops::uniform(16);
+        assert!(solver.cycle(&mat, &mut h, &mut x).is_err());
+        let mut hm = solver.prepare(&mat).unwrap();
+        assert!(solver.cycle(&imp, &mut hm, &mut x).is_err());
+    }
+
+    #[test]
+    fn gauss_seidel_needs_a_csr_transpose() {
+        let raw = birth_death(16, 0.4).matrix().clone();
+        let rawt = raw.transpose();
+        let imp = ImplicitStochastic::with_tolerance(&raw, &rawt, 1e-6).unwrap();
+        let solver = MultigridSolver::builder(PairwiseCoarsening::until(4).levels(16))
+            .smoother(Smoother::GaussSeidel)
+            .build();
+        assert!(matches!(
+            solver.prepare(&imp),
+            Err(MarkovError::InvalidArgument(_))
+        ));
+        // The materialized chain caches its transpose.
+        assert!(solver.prepare(&birth_death(16, 0.4)).is_ok());
+    }
+
+    /// 8-state ring whose forward drift grows with the state index, so
+    /// the stationary distribution is not uniform.
+    fn drift_ring(d: f64) -> stochcdr_linalg::CsrMatrix {
+        let n = 8;
+        let mut coo = CooMatrix::new(n, n);
+        for i in 0..n {
+            let up = 0.25 + d * i as f64 / n as f64;
+            coo.push(i, (i + 1) % n, up);
+            coo.push(i, (i + n - 1) % n, 0.2);
+            coo.push(i, i, 0.8 - up);
+        }
+        coo.to_csr()
+    }
+
+    #[test]
+    fn reused_implicit_hierarchy_matches_fresh_prepare_bitwise() {
+        // Prepare on one product chain, then solve another with the same
+        // pattern: every smoothing call must read the new chain's
+        // diagonal, so the reused hierarchy reproduces a fresh prepare
+        // bit for bit.
+        let a = KroneckerOp::new(vec![drift_ring(0.1), drift_ring(0.1)]);
+        let b = KroneckerOp::new(vec![drift_ring(0.5), drift_ring(0.3)]);
+        let imp_a = ImplicitStochastic::with_tolerance(&a, a.transposed(), 1e-9).unwrap();
+        let imp_b = ImplicitStochastic::with_tolerance(&b, b.transposed(), 1e-9).unwrap();
+        let solver = MultigridSolver::builder(PairwiseCoarsening::until(8).levels(64))
+            .tol(1e-12)
+            .build();
+        let mut reused = solver.prepare(&imp_a).unwrap();
+        let (r, sr) = solver.solve_prepared(&imp_b, &mut reused, None).unwrap();
+        let mut fresh = solver.prepare(&imp_b).unwrap();
+        let (f, sf) = solver.solve_prepared(&imp_b, &mut fresh, None).unwrap();
+        assert_eq!(r.iterations(), f.iterations());
+        assert_eq!(sr.residual_history, sf.residual_history);
+        let same = r
+            .distribution
+            .iter()
+            .zip(&f.distribution)
+            .all(|(x, y)| x.to_bits() == y.to_bits());
+        assert!(same, "reused hierarchy diverges from a fresh prepare");
     }
 
     #[test]

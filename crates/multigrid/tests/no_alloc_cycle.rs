@@ -7,7 +7,10 @@
 //! write into those buffers in place. The workspace's accounting
 //! allocator ([`stochcdr_obs::mem::TrackingAlloc`]) tallies allocations
 //! across warm cycles and demands none — the same instrument CI's
-//! mem-smoke job runs.
+//! mem-smoke job runs. It counts the calling thread's allocations only,
+//! and every chain here stays below [`par::PARALLEL_CUTOFF`], so all
+//! measured work runs on the calling thread and concurrent tests cannot
+//! leak into the count.
 
 use stochcdr_fsm::KroneckerOp;
 use stochcdr_linalg::{par, CooMatrix};
@@ -48,6 +51,10 @@ fn warm_cycles_do_not_allocate() {
     par::set_threads(Some(1));
 
     let n = 64;
+    assert!(
+        n < par::PARALLEL_CUTOFF,
+        "the proof must run on the calling thread"
+    );
     let p = ring(n);
     assert!(
         mem::tracking_active(),
@@ -84,11 +91,11 @@ fn warm_cycles_do_not_allocate() {
 }
 
 /// The same zero-allocation claim for the matrix-free fine grid: after
-/// [`MultigridSolver::prepare_op`], a warm [`MultigridSolver::cycle_op`]
+/// [`MultigridSolver::prepare`], a warm [`MultigridSolver::cycle`]
 /// against a Kronecker product-form operator performs no heap
-/// allocations. In particular the Jacobi smoother's per-cycle diagonal
+/// allocations. In particular the Jacobi smoother's per-smooth diagonal
 /// comes from `KroneckerOp::diagonal_into` writing into the hierarchy's
-/// hoisted buffer, not a fresh vector.
+/// buffer, not a fresh vector.
 #[test]
 fn warm_implicit_cycles_do_not_allocate() {
     let _ = stochcdr_obs::uninstall();
@@ -101,33 +108,35 @@ fn warm_implicit_cycles_do_not_allocate() {
     let imp = ImplicitStochastic::with_tolerance(&op, tr, 1e-9).unwrap();
     let n = op.dim();
     assert!(
+        n < par::PARALLEL_CUTOFF,
+        "the proof must run on the calling thread"
+    );
+    assert!(
         mem::tracking_active(),
         "TrackingAlloc must be installed for this proof to mean anything"
     );
-    for smoother in [Smoother::Jacobi { omega: 0.8 }, Smoother::GaussSeidel] {
-        let solver = MultigridSolver::builder(pair_partitions(n, 3))
-            .cycle(CycleKind::V)
-            .smoother(smoother.clone())
-            .pre_sweeps(1)
-            .post_sweeps(2)
-            .tol(1e-12)
-            .build();
-        let mut h = solver.prepare_op(&imp).unwrap();
-        let mut x = vec![1.0 / n as f64; n];
-        for _ in 0..3 {
-            solver.cycle_op(&imp, &mut h, &mut x).unwrap();
-        }
-        let allocated = mem::min_alloc_delta(
-            || {
-                let res = solver.cycle_op(&imp, &mut h, &mut x).unwrap();
-                assert!(res.is_finite());
-            },
-            5,
-        );
-        assert_eq!(
-            allocated, 0,
-            "implicit {smoother:?} cycle allocated {allocated} times after setup"
-        );
+    let solver = MultigridSolver::builder(pair_partitions(n, 3))
+        .cycle(CycleKind::V)
+        .smoother(Smoother::Jacobi { omega: 0.8 })
+        .pre_sweeps(1)
+        .post_sweeps(2)
+        .tol(1e-12)
+        .build();
+    let mut h = solver.prepare(&imp).unwrap();
+    let mut x = vec![1.0 / n as f64; n];
+    for _ in 0..3 {
+        solver.cycle(&imp, &mut h, &mut x).unwrap();
     }
+    let allocated = mem::min_alloc_delta(
+        || {
+            let res = solver.cycle(&imp, &mut h, &mut x).unwrap();
+            assert!(res.is_finite());
+        },
+        5,
+    );
+    assert_eq!(
+        allocated, 0,
+        "implicit Jacobi cycle allocated {allocated} times after setup"
+    );
     par::set_threads(None);
 }

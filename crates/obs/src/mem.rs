@@ -315,18 +315,19 @@ pub fn publish() {
 /// `f` — the one allocator-assertion helper shared by the workspace's
 /// no-alloc tests.
 ///
-/// The counter is process-global, so a concurrent test-harness thread
-/// can allocate inside a measurement window. A genuine allocation in
-/// the code under test repeats on every attempt; harness noise does
-/// not, so the minimum is the honest figure. Returns 0 vacuously when
-/// no [`TrackingAlloc`] is installed — callers should assert
-/// [`tracking_active`] first.
+/// Counts only the calling thread's allocations ([`thread_mark`]), so a
+/// concurrent test-harness thread cannot leak into the measurement; work
+/// `f` hands to other threads is not counted either, so callers keep the
+/// measured work on the calling thread. A genuine allocation in the code
+/// under test repeats on every attempt, so the minimum is the honest
+/// figure. Returns 0 vacuously when no [`TrackingAlloc`] is installed —
+/// callers should assert [`tracking_active`] first.
 pub fn min_alloc_delta<F: FnMut()>(mut f: F, attempts: usize) -> u64 {
     let mut best = u64::MAX;
     for _ in 0..attempts.max(1) {
-        let before = alloc_count();
+        let mark = thread_mark();
         f();
-        let delta = alloc_count() - before;
+        let delta = mark.delta().1;
         best = best.min(delta);
         if best == 0 {
             break;

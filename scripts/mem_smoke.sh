@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
 # Memory smoke: proves the zero-allocation claims still hold under the
 # accounting allocator, then takes two instrumented reference runs and
-# renders their obs diff regression report (target/MEM_SMOKE_DIFF.txt,
-# uploaded by CI).
+# renders their `stochcdr diff` regression report
+# (target/MEM_SMOKE_DIFF.txt, uploaded by CI).
 #
 # The allocation proofs are the workspace's allocator-assertion tests —
 # each binary installs stochcdr_obs::mem::TrackingAlloc as its global
@@ -19,13 +19,13 @@ STOCHCDR_THREADS=1 cargo test -q --offline -p stochcdr-sweep --test warm_alloc
 # Reference solve under the tracking allocator, twice, with the metrics
 # stream on; the diff gates on the deterministic records (counters,
 # events, span counts, histogram bins) and reports memory advisories.
-cargo build --release --offline -p stochcdr-cli -p stochcdr-bench
+cargo build --release --offline -p stochcdr-cli
 ./target/release/stochcdr analyze --refinement 16 --threads 4 \
     --metrics target/MEM_SMOKE_A.jsonl --metrics-format jsonl >/dev/null
 ./target/release/stochcdr analyze --refinement 16 --threads 4 \
     --metrics target/MEM_SMOKE_B.jsonl --metrics-format jsonl >/dev/null
-./target/release/obs_diff target/MEM_SMOKE_A.jsonl target/MEM_SMOKE_B.jsonl \
-    --out target/MEM_SMOKE_DIFF.txt
+./target/release/stochcdr diff --baseline target/MEM_SMOKE_A.jsonl \
+    --fresh target/MEM_SMOKE_B.jsonl --out target/MEM_SMOKE_DIFF.txt >/dev/null
 
 # The artifacts must really carry stochcdr-obs/3 memory telemetry: span
 # attribution from the tracking allocator and the process gauges.
