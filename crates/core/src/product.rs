@@ -18,10 +18,12 @@
 //! on the CLI): when [`KroneckerOp::materialize_cost_bytes`] would push
 //! the live heap past the budget, the solve runs implicitly; otherwise
 //! the product is materialized and solved on the ordinary path. Both
-//! backends share one solver configuration and one hierarchy, so on any
-//! model small enough to run both, the stationary vector, cycle count,
-//! and residuals are **bit-identical** between them — at any thread
-//! count (the PR 2 determinism contract holds on both sides).
+//! backends share one solver configuration and one hierarchy. The
+//! implicit fine level applies the Kronecker shuffle where the
+//! materialized one runs a CSR SpMV, so on any model small enough to run
+//! both, the two solves take the same cycles over the same levels and
+//! their stationary vectors agree to ≤ 1e-12 relative. Each backend is
+//! bit-identical across thread counts.
 
 use std::sync::Arc;
 
@@ -229,10 +231,10 @@ impl ProductChain {
     /// [`Self::KRYLOV_RESTART`]) over the paper's damped-Jacobi
     /// smoother (`ω = 0.8`, fully parallel on the implicit fine grid),
     /// 1 pre-/2 post-sweeps. Both solve backends use this exact
-    /// configuration, which is what makes them bit-comparable; the
-    /// extrapolation is a pure function of the residual history, so
-    /// the acceleration preserves the thread-count determinism
-    /// contract.
+    /// configuration, which is what makes them comparable cycle for
+    /// cycle (same count, π to ≤ 1e-12 relative); the extrapolation is
+    /// a pure function of the residual history, so the acceleration
+    /// preserves the thread-count determinism contract.
     ///
     /// V rather than `Adaptive` is a measured choice: on the deep
     /// (~14-level) hierarchies these product chains build, one F-cycle
@@ -506,9 +508,10 @@ mod tests {
     }
 
     #[test]
-    fn implicit_and_materialized_solves_are_bitwise_identical() {
-        // Pinned at 1 and 4 workers: the determinism contract says every
-        // (path, thread count) pair lands on the same bits.
+    fn implicit_and_materialized_solves_agree() {
+        // Pinned at 1 and 4 workers: each path is bit-identical across
+        // thread counts, and the two paths agree to rounding — same
+        // cycles over the same levels, π within 1e-12 relative.
         let p = ProductChain::replicated(&tiny_lane(), 2).unwrap();
         let mut runs = Vec::new();
         for threads in [1usize, 4] {
@@ -524,15 +527,20 @@ mod tests {
         assert!(b.implicit);
         for (a, b) in &runs {
             assert_eq!(a.result.iterations(), b.result.iterations());
-            assert_eq!(a.result.residual().to_bits(), b.result.residual().to_bits());
-            assert_eq!(a.stats.residual_history, b.stats.residual_history);
             assert_eq!(a.stats.level_sizes, b.stats.level_sizes);
             let (da, db) = (&a.result.distribution, &b.result.distribution);
             assert_eq!(da.len(), db.len());
+            let scale = da.iter().fold(0.0f64, |m, v| m.max(*v));
             for (x, y) in da.iter().zip(db) {
-                assert_eq!(x.to_bits(), y.to_bits());
+                assert!((x - y).abs() <= 1e-12 * scale, "{x} vs {y}");
             }
         }
+        // Cross-thread-count: the 1- and 4-worker materialized vectors match.
+        let (m1, m4) = (
+            &runs[0].0.result.distribution,
+            &runs[1].0.result.distribution,
+        );
+        assert!(m1.iter().zip(m4).all(|(x, y)| x.to_bits() == y.to_bits()));
         // Cross-thread-count: the 1- and 4-worker implicit vectors match.
         let (v1, v4) = (
             &runs[0].1.result.distribution,

@@ -341,7 +341,8 @@ fn apply_mode_right(f: &CsrMatrix, inner: usize, cur: &[f64], next: &mut [f64]) 
 /// order: lexicographic recursion over factor-row entries, outermost
 /// factor slowest-varying. The level-`l` row digit is recovered from
 /// `row` and the precomputed trailing strides, so the walk is
-/// allocation-free (warm implicit multigrid cycles gather through here).
+/// allocation-free (warm implicit multigrid cycles refresh level 0
+/// through here).
 fn row_product(
     factors: &[CsrMatrix],
     tail: &[usize],

@@ -388,8 +388,8 @@ impl<T> SendPtr<T> {
 /// heaviest row is ≤ 10% of a block, that is the ±10% nnz balance the
 /// blocking aims for. A partition is cheap to build (one binary search
 /// per block) and is meant to be computed once per operator and cached —
-/// `CsrMatrix` memoizes one per sparsity pattern, and the lumping /
-/// implicit-operator plans carry one alongside their traversal maps.
+/// `CsrMatrix` memoizes one per sparsity pattern, and the lumping plan
+/// carries one alongside its gather map.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RowPartition {
     /// Block fence: `bounds[k]..bounds[k + 1]` is block `k`. Always has
@@ -437,28 +437,6 @@ impl RowPartition {
         RowPartition {
             bounds,
             total_weight: total,
-        }
-    }
-
-    /// Builds an evenly-cut partition for `rows` outputs whose true
-    /// per-row weights are unknown but whose *total* work is
-    /// `total_weight` — e.g. an implicit Kronecker operator, where the
-    /// compact factor nnz says nothing about per-product-row cost (which
-    /// is uniform) but the total drives the block count and the
-    /// parallel-gate decision.
-    pub fn uniform(rows: usize, total_weight: usize) -> Self {
-        let nblocks = if rows == 0 {
-            1
-        } else {
-            (total_weight / PARTITION_BLOCK_WEIGHT).clamp(1, rows)
-        };
-        let mut bounds = Vec::with_capacity(nblocks + 1);
-        for k in 0..=nblocks {
-            bounds.push(((rows as u128 * k as u128) / nblocks as u128) as usize);
-        }
-        RowPartition {
-            bounds,
-            total_weight,
         }
     }
 
@@ -1345,18 +1323,6 @@ mod tests {
     }
 
     #[test]
-    fn row_partition_uniform_covers() {
-        let part = RowPartition::uniform(12_345, 40 * PARTITION_BLOCK_WEIGHT);
-        assert_eq!(part.rows(), 12_345);
-        assert_eq!(part.blocks(), 40);
-        assert!(part.bounds().windows(2).all(|w| w[0] < w[1]));
-        // Blocks within one row of each other.
-        let lens: Vec<usize> = (0..part.blocks()).map(|k| part.block(k).len()).collect();
-        let (lo, hi) = (lens.iter().min().unwrap(), lens.iter().max().unwrap());
-        assert!(hi - lo <= 1);
-    }
-
-    #[test]
     fn partition_kernel_covers_every_element_once() {
         let _g = LOCK.lock().unwrap();
         set_threads(Some(4));
@@ -1379,7 +1345,9 @@ mod tests {
         let _g = LOCK.lock().unwrap();
         set_threads(Some(4));
         let n = 4096;
-        let part = RowPartition::uniform(n, PARALLEL_NNZ_CUTOFF - 1);
+        let prefix: Vec<usize> = (0..=n).map(|i| i * (PARALLEL_NNZ_CUTOFF - 1) / n).collect();
+        let part = RowPartition::from_weight_prefix(&prefix);
+        assert!(part.total_weight() < PARALLEL_NNZ_CUTOFF);
         let calls = std::sync::atomic::AtomicUsize::new(0);
         let mut out = vec![0u8; n];
         for_each_partition_mut(&mut out, &part, |_, _| {

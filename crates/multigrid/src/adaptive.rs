@@ -158,8 +158,7 @@ impl StrengthCoarsening {
                     continue;
                 }
                 let combined = size[ri as usize] + size[rj as usize];
-                if combined <= cap && s >= self.threshold * smax[i as usize].min(smax[j as usize])
-                {
+                if combined <= cap && s >= self.threshold * smax[i as usize].min(smax[j as usize]) {
                     // Root at the smaller index so labels stay a pure
                     // function of the (deterministically ordered) edges.
                     let (keep, gone) = if ri < rj { (ri, rj) } else { (rj, ri) };
@@ -174,13 +173,13 @@ impl StrengthCoarsening {
         let mut labels = vec![usize::MAX; n];
         let mut root_label = vec![usize::MAX; n];
         let mut next = 0usize;
-        for i in 0..n {
+        for (i, label) in labels.iter_mut().enumerate() {
             let r = find(&mut root, i as u32) as usize;
             if root_label[r] == usize::MAX {
                 root_label[r] = next;
                 next += 1;
             }
-            labels[i] = root_label[r];
+            *label = root_label[r];
         }
         Some(Partition::from_labels(labels).expect("labels are contiguous by construction"))
     }

@@ -2,10 +2,11 @@
 //!
 //! Every sweep's hot product routes through the chain's left product
 //! (`mul_left_into`: the cached-transpose SpMV for a materialized chain,
-//! the row gather for an implicit one), so smoothing inherits the
-//! nnz-balanced `RowPartition` blocking and the persistent `linalg::par`
-//! worker pool on levels large enough to clear the parallel gate; coarse
-//! levels stay serial by the same gate.
+//! the wrapped operator's kernel — the Kronecker shuffle — for an
+//! implicit one), so smoothing inherits that kernel's deterministic
+//! blocking and the persistent `linalg::par` worker pool on levels large
+//! enough to clear the parallel gate; coarse levels stay serial by the
+//! same gate.
 
 use stochcdr_linalg::vecops;
 use stochcdr_markov::stationary::{GaussSeidelSolver, JacobiSolver};
@@ -167,16 +168,21 @@ mod tests {
     }
 
     #[test]
-    fn implicit_chain_smooths_bitwise_like_materialized() {
+    fn implicit_chain_smooths_like_materialized() {
         // The implicit chain wraps the same raw CSR the materialized chain
-        // validated; the Jacobi and power smoothers must produce identical
-        // bits (Gauss–Seidel needs the materialized chain's transpose).
+        // validated; its products fold the row renormalization into a
+        // diagonal scale, so the Jacobi and power smoothers agree with
+        // the materialized ones to rounding (Gauss–Seidel needs the
+        // materialized chain's transpose).
         let n = 16;
         let mut coo = CooMatrix::new(n, n);
         for i in 0..n {
-            coo.push(i, (i + 1) % n, 0.6);
-            coo.push(i, (i + n - 1) % n, 0.3);
-            coo.push(i, i, 0.1);
+            // Rows sum to 1 + O(1e-7): the renormalization is not the
+            // identity.
+            let w = 1.0 + 1e-7 * (i % 5) as f64;
+            coo.push(i, (i + 1) % n, 0.6 * w);
+            coo.push(i, (i + n - 1) % n, 0.3 * w);
+            coo.push(i, i, 0.1 * w);
         }
         let raw = coo.to_csr();
         let p = StochasticMatrix::with_tolerance(raw.clone(), 1e-6).unwrap();
@@ -191,7 +197,10 @@ mod tests {
             let mut sb = vec![f64::NAN; n];
             s.apply_ws(&p, &mut a, 5, &mut da, &mut sa);
             s.apply_ws(&imp, &mut b, 5, &mut db, &mut sb);
-            assert_eq!(a, b, "{s:?}");
+            let scale = a.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+            for (x, y) in a.iter().zip(&b) {
+                assert!((x - y).abs() <= 1e-12 * scale, "{s:?}: {x} vs {y}");
+            }
         }
     }
 

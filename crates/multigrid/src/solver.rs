@@ -3,7 +3,7 @@
 //! Threading: the grid-transfer kernel (`lump_weighted_into`) fans out
 //! over the `LumpPlan`'s precomputed gather-weight `RowPartition` (or its
 //! coarse-row groups on an implicit fine grid), and every
-//! smoothing/residual product rides the chain's own partition — all on
+//! smoothing/residual product rides the chain's own kernel — all on
 //! the persistent `linalg::par` pool, with block fences that are a pure
 //! function of the operator, never of the thread count.
 
@@ -1361,13 +1361,16 @@ mod tests {
     }
 
     #[test]
-    fn implicit_path_is_bitwise_the_materialized_solve() {
+    fn implicit_path_matches_the_materialized_solve() {
         // A raw CSR plays the role of the never-materialized operator: the
-        // ImplicitStochastic wrapper serves exactly the values the
-        // validated StochasticMatrix stores, so every cycle — fine
-        // smoothing, operator-plan lumping, coarse levels, residuals —
-        // must reproduce the materialized solve bit for bit.
-        let raw = ncd_chain(4, 8, 1e-7).matrix().clone();
+        // ImplicitStochastic wrapper refreshes level 0 from exactly the
+        // values the validated StochasticMatrix stores, and its products
+        // differ from the materialized ones by rounding only — so both
+        // solves take the same cycles over the same levels and land on
+        // the same π to 1e-12 relative. Rows are scaled off one (inside
+        // the 1e-6 tolerance) so the renormalization is not the identity.
+        let drift: Vec<f64> = (0..32).map(|i| 1.0 + 1e-7 * (i % 5) as f64).collect();
+        let raw = ncd_chain(4, 8, 1e-7).matrix().scale_rows(&drift);
         let mat = StochasticMatrix::with_tolerance(raw.clone(), 1e-6).unwrap();
         let rawt = raw.transpose();
         let imp = ImplicitStochastic::with_tolerance(&raw, &rawt, 1e-6).unwrap();
@@ -1385,19 +1388,11 @@ mod tests {
             let (rm, sm) = solver.solve_with_stats(&mat, None).unwrap();
             let (ri, si) = solver.solve_with_stats(&imp, None).unwrap();
             assert_eq!(rm.iterations(), ri.iterations(), "{smoother:?}");
-            assert_eq!(
-                rm.residual().to_bits(),
-                ri.residual().to_bits(),
-                "{smoother:?}"
-            );
-            let same = rm
-                .distribution
-                .iter()
-                .zip(&ri.distribution)
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-            assert!(same, "{smoother:?}: distributions diverge");
-            assert_eq!(sm.residual_history, si.residual_history, "{smoother:?}");
             assert_eq!(sm.level_sizes, si.level_sizes);
+            let scale = rm.distribution.iter().fold(0.0f64, |m, v| m.max(*v));
+            for (a, b) in rm.distribution.iter().zip(&ri.distribution) {
+                assert!((a - b).abs() <= 1e-12 * scale, "{smoother:?}: {a} vs {b}");
+            }
         }
     }
 

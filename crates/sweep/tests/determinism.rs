@@ -1,47 +1,17 @@
-//! Sweep acceptance tests: thread-count determinism, cache-invalidation
-//! accounting (cross-checked against the obs counter stream), and the
-//! warm-start policy.
+//! Sweep acceptance tests: thread-count determinism and the warm-start
+//! policy. The cache-counter cross-check against the obs stream lives in
+//! its own binary (`cache_counters.rs`): the obs sink is process-global,
+//! so it needs a process no other sweep runs in.
 
-use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, OnceLock};
+mod common;
 
+use common::drift_spec;
 use stochcdr::{CdrConfig, SolverChoice};
 use stochcdr_linalg::par;
-use stochcdr_obs as obs;
-use stochcdr_obs::{Record, Sink};
-use stochcdr_sweep::{render, run, run_with, FactorCache, SweepAxis, SweepSpec};
-
-/// Serializes tests that touch the process-wide thread override or the
-/// process-wide obs sink.
-fn global_lock() -> &'static Mutex<()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-}
-
-fn base() -> CdrConfig {
-    CdrConfig::builder()
-        .phases(4)
-        .grid_refinement(2)
-        .counter_len(4)
-        .white_sigma_ui(0.08)
-        .drift(2e-2, 8e-2)
-        .build()
-        .unwrap()
-}
-
-/// 12 points: crosses a WARM_CHUNK (8) boundary so both the warm-chain
-/// and the chunk-parallel paths are exercised.
-fn drift_spec() -> SweepSpec {
-    let ppm: Vec<f64> = (0..12).map(|i| 2.0e4 + 250.0 * i as f64).collect();
-    SweepSpec::new(base())
-        .axis(SweepAxis::DriftPpm(ppm))
-        .solver(SolverChoice::Multigrid)
-        .tol(1e-11)
-}
+use stochcdr_sweep::{render, run, SweepAxis, SweepSpec};
 
 #[test]
 fn sweep_json_is_bitwise_identical_across_thread_counts() {
-    let _g = global_lock().lock().unwrap();
     let spec = drift_spec();
     let render_at = |t: usize| {
         par::set_threads(Some(t));
@@ -55,72 +25,6 @@ fn sweep_json_is_bitwise_identical_across_thread_counts() {
     // And the cache (shared, scheduling-dependent hit attribution) must
     // not leak into the deterministic output either.
     assert!(!one.contains("cache"), "cache telemetry leaked into JSON");
-}
-
-/// Aggregates obs counters by name.
-#[derive(Default)]
-struct CounterSink {
-    totals: Arc<Mutex<BTreeMap<String, u64>>>,
-}
-
-impl Sink for CounterSink {
-    fn record(&mut self, _at_nanos: u64, record: &Record<'_>) {
-        if let Record::Counter { name, delta } = record {
-            *self
-                .totals
-                .lock()
-                .unwrap()
-                .entry((*name).to_string())
-                .or_insert(0) += delta;
-        }
-    }
-}
-
-#[test]
-fn cache_counters_cross_check_with_obs_stream() {
-    let _g = global_lock().lock().unwrap();
-    let totals = Arc::new(Mutex::new(BTreeMap::new()));
-    obs::install(Box::new(CounterSink {
-        totals: Arc::clone(&totals),
-    }));
-
-    let spec = drift_spec();
-    let cache = FactorCache::new();
-    let points = run_with(&spec, &cache).unwrap();
-    let stats = cache.stats();
-    obs::uninstall();
-
-    let totals = totals.lock().unwrap();
-    let get = |k: &str| totals.get(k).copied().unwrap_or(0);
-
-    // The programmatic stats and the counter stream are two views of the
-    // same accesses; they must agree exactly.
-    assert_eq!(get("fsm.factor_cache.hit"), stats.hits);
-    assert_eq!(get("fsm.factor_cache.miss"), stats.misses);
-    assert_eq!(get("sweep.points"), points.len() as u64);
-    assert_eq!(get("sweep.runs"), 1);
-
-    // Per-kind counters decompose the totals.
-    let hit_by_kind: u64 = stats.by_kind.values().map(|k| k.hits).sum();
-    let miss_by_kind: u64 = stats.by_kind.values().map(|k| k.misses).sum();
-    assert_eq!(hit_by_kind, stats.hits);
-    assert_eq!(miss_by_kind, stats.misses);
-    for (kind, ks) in &stats.by_kind {
-        assert_eq!(
-            get(&format!("fsm.factor_cache.hit.{kind}")),
-            ks.hits,
-            "kind {kind}"
-        );
-        assert_eq!(
-            get(&format!("fsm.factor_cache.miss.{kind}")),
-            ks.misses,
-            "kind {kind}"
-        );
-    }
-
-    // Invalidation: the drift axis must rebuild only the drift pmf.
-    assert_eq!(stats.by_kind["acc.nr"].misses, spec.points() as u64);
-    assert_eq!(stats.by_kind["row.skeleton"].misses, 1);
 }
 
 #[test]

@@ -8,7 +8,10 @@
 # determinism contract of the parallel kernels (bit-identical results for
 # every pool size) is exercised on every CI pass; the two suites most
 # sensitive to partition boundaries (operator equivalence and multigrid
-# invariance) additionally run at 2 and 8 threads. A final trace smoke
+# invariance) additionally run at 2 and 8 threads. Then the whole suite
+# runs three more times with the pool size and the test harness's
+# parallelism both at their defaults, so tests that leak process-global
+# state into each other fail loudly rather than flake. A final trace smoke
 # (scripts/trace_smoke.sh) captures and validates one instrumented run's
 # --trace and --metrics artifacts, the memory smoke
 # (scripts/mem_smoke.sh) re-proves the zero-allocation claims under the
@@ -28,6 +31,10 @@ for t in 2 8; do
     echo "ci: determinism matrix at STOCHCDR_THREADS=$t"
     STOCHCDR_THREADS=$t cargo test -q --offline -p stochcdr-integration --test operator_equivalence
     STOCHCDR_THREADS=$t cargo test -q --offline -p stochcdr-bench --test mg_invariance
+done
+for run in 1 2 3; do
+    echo "ci: default-parallelism run $run of 3"
+    cargo test -q --offline
 done
 cargo clippy --offline --all-targets -- -D warnings
 ./scripts/trace_smoke.sh

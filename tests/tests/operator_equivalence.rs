@@ -12,7 +12,8 @@
 //! * [`KroneckerOp`] applies mode by mode, which associates the same
 //!   products differently, so it agrees with the materialized chain only
 //!   to rounding — but with *itself* it must stay bitwise stable across
-//!   thread counts.
+//!   thread counts. The same holds for the [`ImplicitStochastic`] chain
+//!   over it, which adds only a diagonal row scale.
 
 use proptest::prelude::*;
 use stochcdr::monte_carlo::MonteCarlo;
@@ -20,6 +21,7 @@ use stochcdr::{CdrConfig, CdrModel, SolverChoice};
 use stochcdr_fsm::KroneckerOp;
 use stochcdr_linalg::{par, vecops, CooMatrix, CsrMatrix, TransitionOp};
 use stochcdr_markov::stationary::{JacobiSolver, PowerIteration, StationarySolver};
+use stochcdr_markov::{ImplicitStochastic, StochasticMatrix};
 
 /// The paper's Fig.-2 reference architecture (8-phase VCO, overflow
 /// counter, SONET-like data) at a grid small enough for dense/GTH runs.
@@ -237,4 +239,61 @@ fn one_thread_and_four_threads_are_bit_identical() {
         serial.5, parallel.5,
         "sharded Monte Carlo must not depend on thread count"
     );
+}
+
+/// Banded `n`-state factor whose rows sum to `1 + O(1e-7)`, so the
+/// implicit chain's row renormalization is not the identity.
+fn drifting_factor(n: usize, seed: usize) -> CsrMatrix {
+    let mut coo = CooMatrix::new(n, n);
+    for i in 0..n {
+        let w = [
+            1.0 + ((i * 7 + seed) % 5) as f64,
+            2.0,
+            1.0 + ((i * 3 + seed) % 4) as f64,
+        ];
+        let s = w.iter().sum::<f64>() / (1.0 + 1e-7 * ((i + seed) % 3) as f64);
+        for (k, v) in w.iter().enumerate() {
+            coo.push(i, (i + n - 1 + k) % n, v / s);
+        }
+    }
+    coo.to_csr()
+}
+
+/// The implicit chain's products above `par::PARALLEL_CUTOFF`, where the
+/// Kronecker shuffle runs on the worker pool: bit-identical for every
+/// pool size, and equal to the materialized chain's to 1e-12 relative.
+#[test]
+fn implicit_kronecker_chain_is_thread_invariant_above_the_parallel_cutoff() {
+    let op = KroneckerOp::new(vec![drifting_factor(192, 1), drifting_factor(192, 2)]);
+    let n = op.dim();
+    assert!(n >= par::PARALLEL_CUTOFF);
+    let imp = ImplicitStochastic::with_tolerance(&op, op.transposed(), 1e-6).expect("implicit");
+    let mat = StochasticMatrix::with_tolerance(op.materialize(), 1e-6).expect("materialized");
+    let x: Vec<f64> = (0..n).map(|i| 0.5 + ((i * 13) % 11) as f64).collect();
+
+    let apply = |threads: usize| {
+        par::set_threads(Some(threads));
+        let mut step = vec![0.0; n];
+        let mut right = vec![0.0; n];
+        imp.step_into(&x, &mut step);
+        imp.mul_right_into(&x, &mut right);
+        par::set_threads(None);
+        (step, right)
+    };
+    let (step, right) = apply(1);
+    for threads in [2, 4, 8] {
+        let (s, r) = apply(threads);
+        assert!(s == step, "step_into differs at {threads} threads");
+        assert!(r == right, "mul_right_into differs at {threads} threads");
+    }
+
+    let mut want = vec![0.0; n];
+    mat.step_into(&x, &mut want);
+    for (u, v) in step.iter().zip(&want) {
+        assert!((u - v).abs() <= 1e-12 * v.abs(), "step {u} vs {v}");
+    }
+    TransitionOp::mul_right_into(&mat, &x, &mut want);
+    for (u, v) in right.iter().zip(&want) {
+        assert!((u - v).abs() <= 1e-12 * v.abs(), "right product {u} vs {v}");
+    }
 }
