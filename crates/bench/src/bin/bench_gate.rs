@@ -5,9 +5,8 @@
 //! nonzeros, solver cycles and cycle-equivalents (reference and
 //! accelerated solves), residual, BER, and the Monte-Carlo results
 //! are bit-identical across machines and thread counts, so any drift is
-//! a real behavior change, not noise. Wall-clock fields (`*_secs`,
-//! `spmv_*`) are advisory: the gate prints their ratios but never fails
-//! on them, since CI runners vary.
+//! a real behavior change, not noise. Wall-clock performance is the
+//! repository benchmark's job (`benchmark/`), not this gate's.
 //!
 //! Usage: `bench_gate BASELINE.json FRESH.json` — exits 1 on a
 //! deterministic mismatch, 2 on unreadable/invalid input.
@@ -52,55 +51,12 @@ const EXACT: &[&str] = &[
     "sweep_mg_level_misses",
     "sweep_mg_plan_hits",
     "sweep_mg_plan_misses",
-    // Main-thread allocation counts of the uninstrumented build/solve
-    // pre-pass: a pure function of configuration and thread count, so an
+    // Main-thread allocation counts of the uninstrumented build and
+    // solve: a pure function of configuration and thread count, so an
     // unexplained change means an allocation crept into (or left) a
-    // kernel. Byte figures and high-water marks are advisory below.
+    // kernel.
     "mem_form_alloc_count",
     "mem_solve_alloc_count",
-];
-
-/// Wall-clock metrics reported as ratios, never gated on. The multigrid
-/// phase splits (`solve_*_secs`) are wall-clock too — the split between
-/// aggregation, smoothing, and the coarse solve is machine-dependent
-/// even though the arithmetic it accounts for is deterministic.
-const ADVISORY: &[&str] = &[
-    "form_secs",
-    "solve_secs",
-    "accel_solve_secs",
-    "mc_secs",
-    "spmv_1t_secs",
-    "spmv_nt_secs",
-    "spmv_speedup",
-    "spmv_large_1t_secs",
-    "spmv_large_nt_secs",
-    "spmv_large_speedup",
-    "solve_setup_secs",
-    "solve_aggregate_secs",
-    "solve_smooth_secs",
-    "solve_coarse_secs",
-    "solve_disaggregate_secs",
-    // Memory figures: byte totals depend on allocator growth policies and
-    // worker-thread scheduling (high-water marks), and RSS on the kernel,
-    // so they are reported, not gated.
-    "mem_form_alloc_bytes",
-    "mem_form_peak_bytes",
-    "mem_solve_alloc_bytes",
-    "mem_solve_peak_bytes",
-    "mem_peak_bytes",
-    "mem_alloc_count",
-    "mem_peak_rss_bytes",
-    // Implicit Kronecker probe: the structural half (states, nnz, cycles,
-    // residual) is deterministic, but the whole block stays advisory
-    // while the implicit path is young — tracked for trend visibility,
-    // promoted to EXACT once its numbers have aged a release.
-    "implicit_states",
-    "implicit_compact_nnz",
-    "implicit_materialized_nnz",
-    "implicit_cycles",
-    "implicit_cycle_equivalents",
-    "implicit_residual",
-    "implicit_solve_secs",
 ];
 
 fn load(path: &str) -> Json {
@@ -259,18 +215,17 @@ fn main() {
 
     let mut failures = 0usize;
     println!("bench gate: {baseline_path} (baseline) vs {fresh_path} (fresh)");
-    // Resolved paths and the mode the wrapper script selected, so a CI
-    // log is self-describing about *what* was gated and *how*.
+    // Resolved paths, so a CI log is self-describing about *what* was
+    // gated.
     let resolved = |p: &str| {
         std::fs::canonicalize(p)
             .map(|c| c.display().to_string())
             .unwrap_or_else(|_| p.to_string())
     };
     println!(
-        "  baseline file : {}\n  fresh file    : {}\n  gate mode     : {}",
+        "  baseline file : {}\n  fresh file    : {}",
         resolved(baseline_path),
         resolved(fresh_path),
-        std::env::var("BENCH_GATE_MODE").unwrap_or_else(|_| "unset (full)".to_string())
     );
 
     // String-valued deterministic fields.
@@ -301,23 +256,8 @@ fn main() {
     let f_threads = fresh.get("threads").and_then(Json::as_f64);
     if b_threads != f_threads {
         // Not a failure: the determinism contract covers every gated
-        // metric at any pool size; timing ratios just mean less.
-        println!(
-            "  note  threads         : {b_threads:?} -> {f_threads:?} (timing ratios approximate)"
-        );
-    }
-
-    println!("  --- advisory wall-clock ratios (fresh / baseline) ---");
-    for key in ADVISORY {
-        match (
-            baseline.get(key).and_then(Json::as_f64),
-            fresh.get(key).and_then(Json::as_f64),
-        ) {
-            (Some(b), Some(f)) if b > 0.0 => {
-                println!("  info  {key:<15} : {f:.3e} vs {b:.3e}  (x{:.2})", f / b);
-            }
-            (b, f) => println!("  info  {key:<15} : {b:?} -> {f:?}"),
-        }
+        // metric at any pool size.
+        println!("  note  threads         : {b_threads:?} -> {f_threads:?}");
     }
 
     if failures > 0 {

@@ -1,19 +1,16 @@
-//! **Benchmark snapshot** — one JSON file capturing the repository's key
-//! performance numbers for regression tracking.
+//! **Benchmark snapshot** — one JSON file carrying the deterministic
+//! numbers `bench_gate` compares against a committed baseline.
 //!
 //! Runs the reference operating point (Fig. 5 parameters) end to end —
-//! chain build, multigrid stationary solve, and a short Monte-Carlo
-//! cross-check — while the `stochcdr-obs` summary sink captures the
-//! instrumented internals, then serializes the headline metrics:
-//! state count, TPM nonzeros, multigrid cycles and cycle-equivalents
-//! (for both the fixed-V reference solve and the adaptive + Krylov
-//! accelerated solve), wall times, BER.
+//! chain build, multigrid stationary solve (fixed-V and adaptive +
+//! Krylov), a short Monte-Carlo cross-check and a tiny drift sweep — and
+//! serializes the gated fields: state count, TPM nonzeros, cycles and
+//! cycle-equivalents, residuals, BER, Monte-Carlo results, sweep cache
+//! counts and main-thread allocation counts. Wall-clock performance is
+//! measured by the repository benchmark (`benchmark/`), not here.
 //!
 //! Usage: `cargo run --release -p stochcdr-bench --bin bench_snapshot --
-//! [--out BENCH.json] [--refinement N] [--symbols N] [--spmv-only]
-//! [--ledger LEDGER.jsonl]` (`scripts/bench_snapshot.sh` wraps this with
-//! a dated filename). `--ledger` additionally appends the run's headline
-//! numbers to the perf-trend ledger (see `bench_trend`).
+//! [--out BENCH.json] [--refinement N] [--symbols N] [--spmv-only]`.
 //!
 //! `--spmv-only` skips everything except the large-operator SpMV probe
 //! and writes a mini-snapshot with the `spmv_large_*` fields — the cheap
@@ -23,7 +20,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use stochcdr::monte_carlo::MonteCarlo;
-use stochcdr::{CdrConfig, CdrModel, SolverChoice};
+use stochcdr::{CdrChain, CdrConfig, CdrModel, SolverChoice};
 use stochcdr_bench::{FIG5_DRIFT_DEV, FIG5_DRIFT_MEAN, FIG5_SIGMA};
 use stochcdr_linalg::par;
 use stochcdr_markov::StochasticMatrix;
@@ -31,7 +28,7 @@ use stochcdr_obs as obs;
 use stochcdr_sweep::{run, SweepAxis, SweepSpec};
 
 /// Route allocations through the accounting wrapper so the snapshot can
-/// record allocation counts and heap high-water marks per phase.
+/// record the allocation counts of chain build and solve.
 #[global_allocator]
 static GLOBAL: obs::mem::TrackingAlloc = obs::mem::TrackingAlloc::new();
 
@@ -56,11 +53,10 @@ fn time_spmv(p: &StochasticMatrix, x: &[f64], y: &mut [f64]) -> f64 {
     t0.elapsed().as_secs_f64() / reps as f64
 }
 
-/// Build the refinement-64 probe chain (>500k nonzeros, clears the
-/// `linalg::par` nnz gate) and time `x·P` at 1 thread vs `threads`.
-/// Returns `(chain, 1t secs, Nt secs)` after asserting bit-identity.
-fn spmv_large_probe(threads: usize) -> (stochcdr::CdrChain, f64, f64) {
-    let large_config = CdrConfig::builder()
+/// The refinement-64 probe chain: >500k nonzeros, far above the
+/// `linalg::par` nnz gate.
+fn large_chain() -> CdrChain {
+    let config = CdrConfig::builder()
         .phases(8)
         .grid_refinement(64)
         .counter_len(8)
@@ -68,29 +64,39 @@ fn spmv_large_probe(threads: usize) -> (stochcdr::CdrChain, f64, f64) {
         .drift(FIG5_DRIFT_MEAN, FIG5_DRIFT_DEV)
         .build()
         .expect("large config");
-    let large = CdrModel::new(large_config)
-        .build_chain()
-        .expect("large chain");
-    let ln = large.state_count();
-    let lx = vec![1.0 / ln as f64; ln];
-    let mut ly1 = vec![0.0; ln];
-    let mut lyn = vec![0.0; ln];
-    par::set_threads(Some(1));
-    let spmv_large_1t_secs = time_spmv(large.tpm(), &lx, &mut ly1);
-    par::set_threads(Some(threads));
-    let spmv_large_nt_secs = time_spmv(large.tpm(), &lx, &mut lyn);
-    assert_eq!(ly1, lyn, "N-thread SpMV must be bit-identical to 1-thread");
-    (large, spmv_large_1t_secs, spmv_large_nt_secs)
+    CdrModel::new(config).build_chain().expect("large chain")
 }
 
-/// `--spmv-only`: run just the large SpMV probe and write a mini-snapshot
-/// carrying the `spmv_large_*` fields plus the thread configuration. No
-/// solve, no Monte Carlo, no summary sink — this is the unit the CI
-/// par-gate repeats best-of-3, so it has to stay cheap.
+/// Runs `apply` (an `x·P` kernel) at 1 thread, then at `threads`, and
+/// asserts the determinism contract: bit-identical output for every pool
+/// size. Returns `apply`'s two results, 1-thread first.
+fn step_parity<R>(
+    chain: &CdrChain,
+    threads: usize,
+    apply: impl Fn(&StochasticMatrix, &[f64], &mut [f64]) -> R,
+) -> (R, R) {
+    let n = chain.state_count();
+    let x = vec![1.0 / n as f64; n];
+    let mut y1 = vec![0.0; n];
+    let mut yn = vec![0.0; n];
+    par::set_threads(Some(1));
+    let r1 = apply(chain.tpm(), &x, &mut y1);
+    par::set_threads(Some(threads));
+    let rn = apply(chain.tpm(), &x, &mut yn);
+    assert_eq!(y1, yn, "N-thread SpMV must be bit-identical to 1-thread");
+    (r1, rn)
+}
+
+/// `--spmv-only`: time `x·P` on the large probe chain at 1 thread (the
+/// forced-serial side of the dispatch) vs the configured pool (the
+/// parallel kernel) and write a mini-snapshot carrying the `spmv_large_*`
+/// fields plus the thread configuration. This is the unit the CI par-gate
+/// repeats best-of-3, so it has to stay cheap.
 fn run_spmv_only(out_path: &str) {
     let threads = par::threads();
     par::prewarm(); // pool spawn must not land in the measured windows
-    let (large, spmv_large_1t_secs, spmv_large_nt_secs) = spmv_large_probe(threads);
+    let large = large_chain();
+    let (spmv_large_1t_secs, spmv_large_nt_secs) = step_parity(&large, threads, time_spmv);
     let spmv_large_speedup = spmv_large_1t_secs / spmv_large_nt_secs;
 
     let mut json = String::new();
@@ -135,81 +141,38 @@ fn main() {
         .build()
         .expect("config");
 
-    // Memory pre-pass, *before* the summary sink is installed: the sink's
-    // own bookkeeping (histogram bins, span maps) allocates on timing-
-    // dependent paths, so measuring alongside it would make the counts
-    // nondeterministic. With obs disabled the main-thread allocation
-    // counts of chain build and solve are a pure function of the
-    // configuration and thread count, so the gate can compare them
-    // exactly; heap high-water marks include worker threads and are
-    // advisory. Prewarming the pool first keeps its one-time lazy init
-    // (env parse + persistent worker spawn) out of the measured windows.
+    // No obs sink is installed, so the main-thread allocation counts of
+    // chain build and solve are a pure function of the configuration and
+    // thread count, and the gate compares them exactly. Prewarming the
+    // pool first keeps its one-time lazy init (env parse + persistent
+    // worker spawn) out of the measured windows.
     par::prewarm();
-    obs::mem::reset_peak();
     let mark = obs::mem::thread_mark();
-    let mem_chain = CdrModel::new(config.clone()).build_chain().expect("chain");
-    let (mem_form_alloc_bytes, mem_form_alloc_count) = mark.delta();
-    let mem_form_peak_bytes = obs::mem::peak_bytes();
-    obs::mem::reset_peak();
-    let mark = obs::mem::thread_mark();
-    let _ = mem_chain
-        .analyze(SolverChoice::Multigrid)
-        .expect("analysis");
-    let (mem_solve_alloc_bytes, mem_solve_alloc_count) = mark.delta();
-    let mem_solve_peak_bytes = obs::mem::peak_bytes();
-    drop(mem_chain);
-
-    obs::install(Box::new(obs::SummarySink::new()));
-
-    let t0 = Instant::now();
     let chain = CdrModel::new(config.clone()).build_chain().expect("chain");
-    let form_secs = t0.elapsed().as_secs_f64();
-
-    let t0 = Instant::now();
+    let (_, mem_form_alloc_count) = mark.delta();
+    let mark = obs::mem::thread_mark();
     let analysis = chain.analyze(SolverChoice::Multigrid).expect("analysis");
-    let solve_secs = t0.elapsed().as_secs_f64();
+    let (_, mem_solve_alloc_count) = mark.delta();
 
     // Accelerated solve on the same chain: the adaptive V→F→W schedule
     // with the always-on Krylov window (`mgk`). Cycle-equivalents — total
     // fine-grid work in units of one V-cycle — are a pure function of the
     // hierarchy and the controller's decisions, so both solves gate
-    // exactly; only the wall times are advisory.
-    let t0 = Instant::now();
+    // exactly.
     let accel = chain
         .analyze(SolverChoice::MgKrylov)
         .expect("accelerated analysis");
-    let accel_solve_secs = t0.elapsed().as_secs_f64();
 
-    let t0 = Instant::now();
     let mc = MonteCarlo::new(config).run(symbols, 0x5eed);
-    let mc_secs = t0.elapsed().as_secs_f64();
 
-    // SpMV microbenchmark: the same `x·P` kernel at 1 thread vs the
-    // configured pool. The determinism contract demands bit-identical
-    // output either way, which the snapshot asserts before recording the
-    // speedup.
+    // Thread-count bit-identity of the SpMV kernel, on the reference
+    // chain (190,589 nonzeros at refinement 32, above the `linalg::par`
+    // nnz gate, so the N-thread side runs the parallel kernel) and on the
+    // large probe chain.
     let threads = par::threads();
-    obs::gauge("bench.threads", threads as f64);
-    let n = chain.state_count();
-    let x = vec![1.0 / n as f64; n];
-    let mut y1 = vec![0.0; n];
-    let mut yn = vec![0.0; n];
-    par::set_threads(Some(1));
-    let spmv_1t_secs = time_spmv(chain.tpm(), &x, &mut y1);
-    par::set_threads(Some(threads));
-    let spmv_nt_secs = time_spmv(chain.tpm(), &x, &mut yn);
-    assert_eq!(y1, yn, "N-thread SpMV must be bit-identical to 1-thread");
-    let spmv_speedup = spmv_1t_secs / spmv_nt_secs;
-
-    // Large-operator SpMV probe. The reference chain above sits *below*
-    // the `linalg::par` nnz gate, so its "speedup" only measures that the
-    // gate keeps the kernel serial. The refinement-64 probe chain clears
-    // the gate: the 1-thread run is the forced-serial (gated) timing and
-    // the N-thread run exercises the actual parallel kernel, so the pair
-    // records both sides of the dispatch.
-    let (large, spmv_large_1t_secs, spmv_large_nt_secs) = spmv_large_probe(threads);
-    let ln = large.state_count();
-    let spmv_large_speedup = spmv_large_1t_secs / spmv_large_nt_secs;
+    step_parity(&chain, threads, |p, x, y| p.step_into(x, y));
+    let large = large_chain();
+    step_parity(&large, threads, |p, x, y| p.step_into(x, y));
 
     // Tiny drift-ppm sweep: exercises the sweep engine's factor cache so
     // the snapshot records how the multigrid hierarchy ("mg.level") and
@@ -241,45 +204,12 @@ fn main() {
     let (mg_level_hits, mg_level_misses) = cache_kind("mg.level");
     let (mg_plan_hits, mg_plan_misses) = cache_kind("mg.plan");
 
-    // Implicit Kronecker probe: a 2-lane replication solved matrix-free
-    // through `ProductChain::solve_implicit`, sized so the joint chain is
-    // far larger than anything else in this snapshot while each factor
-    // stays tiny. The structural numbers (states, nnz, cycles, residual)
-    // are deterministic, but the whole block is recorded as advisory in
-    // `bench_gate` — the implicit path is tracked for trend visibility,
-    // not gated, while it is still young.
-    // Coarse grid, so the drift is scaled up to stay resolvable (the
-    // Fig.-5 drift rounds to zero against a refinement-2 grid step).
-    let lane_config = CdrConfig::builder()
-        .phases(8)
-        .grid_refinement(2)
-        .counter_len(4)
-        .white_sigma_ui(FIG5_SIGMA)
-        .drift(2e-2, 8e-2)
-        .build()
-        .expect("implicit lane config");
-    let lane = CdrModel::new(lane_config)
-        .build_chain()
-        .expect("implicit lane chain");
-    let product = lane.replicate(2).expect("2-lane product");
-    let implicit_states = product.state_count();
-    let implicit_compact_nnz = product.compact_nnz();
-    let implicit_materialized_nnz = product.materialized_nnz();
-    let t0 = Instant::now();
-    let implicit = product.solve_implicit(1e-10).expect("implicit solve");
-    let implicit_solve_secs = t0.elapsed().as_secs_f64();
-
-    // Whole-process memory gauges go into the summary before it detaches.
-    obs::mem::publish();
-    let summary = obs::uninstall()
-        .and_then(|mut s| s.finish())
-        .unwrap_or_default();
-
     let mut json = String::new();
     json.push_str("{\n");
     let _ = writeln!(json, "  \"schema\": \"stochcdr-bench-snapshot/1\",");
-    let _ = writeln!(json, "  \"obs_schema\": \"{}\",", obs::SCHEMA_VERSION);
     let _ = writeln!(json, "  \"refinement\": {refinement},");
+    let _ = writeln!(json, "  \"threads\": {threads},");
+    let _ = writeln!(json, "  \"hw_threads\": {},", par::available());
     let _ = writeln!(json, "  \"states\": {},", chain.state_count());
     let _ = writeln!(json, "  \"nnz\": {},", chain.nnz());
     let _ = writeln!(json, "  \"solver\": \"{}\",", analysis.solver_name);
@@ -298,131 +228,32 @@ fn main() {
         accel.mg_cycle_equivalents.unwrap_or(f64::NAN)
     );
     let _ = writeln!(json, "  \"accel_residual\": {:e},", accel.residual);
-    let _ = writeln!(json, "  \"accel_solve_secs\": {accel_solve_secs:e},");
     let _ = writeln!(json, "  \"ber\": {:e},", analysis.ber);
     let _ = writeln!(json, "  \"mc_symbols\": {symbols},");
     let _ = writeln!(json, "  \"mc_ber\": {:e},", mc.ber);
     let _ = writeln!(json, "  \"mc_cycle_slips\": {},", mc.cycle_slips);
-    let _ = writeln!(json, "  \"form_secs\": {form_secs:e},");
-    let _ = writeln!(json, "  \"solve_secs\": {solve_secs:e},");
-    let _ = writeln!(json, "  \"mc_secs\": {mc_secs:e},");
-    let _ = writeln!(json, "  \"threads\": {threads},");
-    let _ = writeln!(json, "  \"hw_threads\": {},", par::available());
-    let _ = writeln!(json, "  \"spmv_1t_secs\": {spmv_1t_secs:e},");
-    let _ = writeln!(json, "  \"spmv_nt_secs\": {spmv_nt_secs:e},");
-    let _ = writeln!(json, "  \"spmv_speedup\": {spmv_speedup:.3},");
-    let _ = writeln!(json, "  \"spmv_large_states\": {ln},");
+    let _ = writeln!(json, "  \"spmv_large_states\": {},", large.state_count());
     let _ = writeln!(json, "  \"spmv_large_nnz\": {},", large.nnz());
-    let _ = writeln!(json, "  \"spmv_large_1t_secs\": {spmv_large_1t_secs:e},");
-    let _ = writeln!(json, "  \"spmv_large_nt_secs\": {spmv_large_nt_secs:e},");
-    let _ = writeln!(json, "  \"spmv_large_speedup\": {spmv_large_speedup:.3},");
-    let phases = analysis.mg_phases.unwrap_or_default();
-    let _ = writeln!(json, "  \"solve_setup_secs\": {:e},", phases.setup_secs);
-    let _ = writeln!(
-        json,
-        "  \"solve_aggregate_secs\": {:e},",
-        phases.aggregate_secs
-    );
-    let _ = writeln!(json, "  \"solve_smooth_secs\": {:e},", phases.smooth_secs);
-    let _ = writeln!(
-        json,
-        "  \"solve_coarse_secs\": {:e},",
-        phases.coarse_solve_secs
-    );
-    let _ = writeln!(
-        json,
-        "  \"solve_disaggregate_secs\": {:e},",
-        phases.disaggregate_secs
-    );
-    let _ = writeln!(json, "  \"mem_form_alloc_count\": {mem_form_alloc_count},");
-    let _ = writeln!(json, "  \"mem_form_alloc_bytes\": {mem_form_alloc_bytes},");
-    let _ = writeln!(json, "  \"mem_form_peak_bytes\": {mem_form_peak_bytes},");
-    let _ = writeln!(
-        json,
-        "  \"mem_solve_alloc_count\": {mem_solve_alloc_count},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"mem_solve_alloc_bytes\": {mem_solve_alloc_bytes},"
-    );
-    let _ = writeln!(json, "  \"mem_solve_peak_bytes\": {mem_solve_peak_bytes},");
-    let _ = writeln!(json, "  \"mem_peak_bytes\": {},", obs::mem::peak_bytes());
-    let _ = writeln!(json, "  \"mem_alloc_count\": {},", obs::mem::alloc_count());
-    let _ = writeln!(
-        json,
-        "  \"mem_peak_rss_bytes\": {},",
-        obs::mem::peak_rss_bytes()
-    );
     let _ = writeln!(json, "  \"sweep_drift_points\": {sweep_drift_points},");
     let _ = writeln!(json, "  \"sweep_mg_level_hits\": {mg_level_hits},");
     let _ = writeln!(json, "  \"sweep_mg_level_misses\": {mg_level_misses},");
     let _ = writeln!(json, "  \"sweep_mg_plan_hits\": {mg_plan_hits},");
     let _ = writeln!(json, "  \"sweep_mg_plan_misses\": {mg_plan_misses},");
-    let _ = writeln!(json, "  \"implicit_states\": {implicit_states},");
-    let _ = writeln!(json, "  \"implicit_compact_nnz\": {implicit_compact_nnz},");
-    let _ = writeln!(
-        json,
-        "  \"implicit_materialized_nnz\": {implicit_materialized_nnz},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"implicit_cycles\": {},",
-        implicit.result.iterations()
-    );
-    let _ = writeln!(
-        json,
-        "  \"implicit_residual\": {:e},",
-        implicit.result.residual()
-    );
-    let _ = writeln!(
-        json,
-        "  \"implicit_cycle_equivalents\": {:e},",
-        implicit.stats.cycle_equivalents
-    );
-    let _ = writeln!(json, "  \"implicit_solve_secs\": {implicit_solve_secs:e},");
-    json.push_str("  \"obs_summary\": ");
-    {
-        // Reuse the obs JSON escaper so the embedded table is valid JSON.
-        let mut escaped = String::new();
-        obs::json::escape_into(&mut escaped, &summary);
-        json.push_str(&escaped);
-    }
-    json.push_str("\n}\n");
+    let _ = writeln!(json, "  \"mem_form_alloc_count\": {mem_form_alloc_count},");
+    let _ = writeln!(json, "  \"mem_solve_alloc_count\": {mem_solve_alloc_count}");
+    json.push_str("}\n");
 
     // Self-check: the snapshot must parse back.
     obs::json::Json::parse(&json).expect("snapshot serializes to valid JSON");
 
     std::fs::write(&out_path, &json).expect("write snapshot");
-
-    // `--ledger PATH`: append this run's headline numbers to the
-    // perf-trend history (one JSONL record; see `bench_trend`).
-    if let Some(ledger_path) = flag(&args, "--ledger") {
-        use stochcdr_bench::trend;
-        let record = trend::snapshot_to_record(
-            &json,
-            &trend::label_from_path(&out_path),
-            &trend::git_short_rev(),
-        )
-        .expect("snapshot carries every ledger field");
-        let mut existing = std::fs::read_to_string(&ledger_path).unwrap_or_default();
-        if !existing.is_empty() && !existing.ends_with('\n') {
-            existing.push('\n');
-        }
-        existing.push_str(&record.render());
-        existing.push('\n');
-        std::fs::write(&ledger_path, existing).expect("append ledger record");
-        println!("appended {} record to {ledger_path}", record.label);
-    }
-
     println!(
-        "wrote {out_path}: {} states, {} cycles (accel {} = {:.2} eq), BER {:.3e}, \
-         solve {:.3}s, spmv x{spmv_speedup:.2} (large x{spmv_large_speedup:.2}) at \
+        "wrote {out_path}: {} states, {} cycles (accel {} = {:.2} eq), BER {:.3e} at \
          {threads} threads",
         chain.state_count(),
         analysis.iterations,
         accel.iterations,
         accel.mg_cycle_equivalents.unwrap_or(f64::NAN),
         analysis.ber,
-        solve_secs
     );
 }

@@ -8,7 +8,6 @@
 use stochcdr::{CdrConfig, Result};
 
 pub mod golden;
-pub mod trend;
 
 /// The phase-grid geometry used by the figure experiments: 8 VCO phases
 /// (`G = UI/8`, a coarse phase mux whose hunting penalty is visible),

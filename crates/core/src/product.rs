@@ -552,19 +552,6 @@ mod tests {
     }
 
     #[test]
-    fn solve_auto_selects_by_budget() {
-        // The budget is global process state; run both arms in one test
-        // so no parallel test observes a half-configured budget.
-        let p = ProductChain::replicated(&tiny_lane(), 2).unwrap();
-        obs::mem::set_budget(Some(1)); // anything materialized exceeds this
-        let implicit = p.solve_auto(1e-8);
-        obs::mem::set_budget(None);
-        assert!(implicit.unwrap().implicit, "tight budget must go implicit");
-        let materialized = p.solve_auto(1e-8).unwrap();
-        assert!(!materialized.implicit, "no budget must materialize");
-    }
-
-    #[test]
     fn cached_lanes_are_shared_across_points() {
         let cache = FactorCache::new();
         let cfgs = [lane_config(), lane_config()];

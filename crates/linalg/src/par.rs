@@ -87,7 +87,7 @@ use stochcdr_obs as obs;
 pub const PARALLEL_CUTOFF: usize = 32_768;
 
 /// Minimum total *weight* (e.g. matrix nonzeros) before a weighted kernel
-/// ([`for_each_weighted_chunk_mut`], [`for_each_partition_mut`]) goes
+/// ([`for_each_partition_mut`], [`for_each_grouped_chunk_mut`]) goes
 /// parallel.
 ///
 /// Weighted kernels gate on the work actually performed rather than the
@@ -632,90 +632,15 @@ where
     ScopeObs::finish(sobs, t);
 }
 
-/// Like [`for_each_chunk_mut`] but with chunk boundaries balanced by a
-/// per-element *weight* prefix sum instead of element counts.
-///
-/// `prefix` must have length `out.len() + 1` and be non-decreasing;
-/// `prefix[i+1] - prefix[i]` is the cost of producing `out[i]` (for a CSR
-/// row-parallel product, pass the index pointer so each worker gets an
-/// equal share of nonzeros rather than of rows). The kernel runs serially
-/// when the total weight is below [`PARALLEL_NNZ_CUTOFF`] — the gate is
-/// on work performed, not output length.
-///
-/// For repeated products against one operator, prefer building a
-/// [`RowPartition`] once and dispatching through
-/// [`for_each_partition_mut`]: same balance, no per-call binary searches,
-/// and block stealing rides out load imbalance.
-///
-/// The determinism contract holds exactly as for [`for_each_chunk_mut`]:
-/// each output element is computed wholly by one worker in serial
-/// element-local order, so boundaries may depend on the thread count.
-///
-/// # Panics
-///
-/// Panics if `prefix.len() != out.len() + 1`.
-pub fn for_each_weighted_chunk_mut<T, F>(out: &mut [T], prefix: &[usize], body: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    let n = out.len();
-    assert_eq!(
-        prefix.len(),
-        n + 1,
-        "weight prefix must have one entry per element plus a total"
-    );
-    debug_assert!(prefix.windows(2).all(|w| w[0] <= w[1]));
-    let total = prefix[n] - prefix[0];
-    let t = threads().min(n.max(1));
-    if t <= 1 || total < PARALLEL_NNZ_CUTOFF {
-        if !out.is_empty() {
-            body(0, out);
-        }
-        return;
-    }
-    let sobs = ScopeObs::new("par.for_each_weighted_chunk", t);
-    let ptr = SendPtr(out.as_mut_ptr());
-    // Fence after chunk k − 1: the element count whose cumulative weight
-    // first exceeds an equal share of the total. `partition_point` is
-    // monotone in the target, so each worker can compute both of its own
-    // fences independently; the last fence is forced to `n` so trailing
-    // zero-weight elements are still covered.
-    let bound = |k: usize| -> usize {
-        if k == 0 {
-            0
-        } else if k == t {
-            n
-        } else {
-            let target = prefix[0] + ((total as u128 * k as u128) / t as u128) as usize;
-            prefix[1..=n].partition_point(|&w| w <= target)
-        }
-    };
-    let task = |w: usize| {
-        let (s, e) = (bound(w), bound(w + 1));
-        if s == e {
-            return;
-        }
-        ScopeObs::run(sobs.as_ref(), w, w != 0, || {
-            // SAFETY: fences are non-decreasing in w, so ranges are
-            // disjoint and within `out`.
-            let chunk = unsafe { std::slice::from_raw_parts_mut(ptr.get().add(s), e - s) };
-            body(s, chunk);
-        });
-    };
-    run_pooled(t, &task);
-    ScopeObs::finish(sobs, t);
-}
-
 /// Runs `body(start, chunk)` over the blocks of a precomputed
 /// [`RowPartition`], stealing blocks from a shared cursor.
 ///
-/// This is the steady-state form of [`for_each_weighted_chunk_mut`] for
-/// operators applied many times: the weight-balancing binary searches are
-/// paid once at partition build, each block's working set is sized for
-/// L2 residency, and because the block fence never depends on the thread
-/// count, the stealing schedule cannot change a single output bit —
-/// every element is produced wholly by one worker inside a fixed block.
+/// The row-parallel kernel for operators applied many times: blocks are
+/// balanced by weight (e.g. nonzeros per row) once at partition build,
+/// each block's working set is sized for L2 residency, and because the
+/// block fence never depends on the thread count, the stealing schedule
+/// cannot change a single output bit — every element is produced wholly
+/// by one worker inside a fixed block.
 ///
 /// Runs serially (one `body(0, out)` call) when the partition's total
 /// weight is under [`PARALLEL_NNZ_CUTOFF`] or only one thread is
@@ -765,9 +690,9 @@ where
     ScopeObs::finish(sobs, t);
 }
 
-/// Like [`for_each_weighted_chunk_mut`] but chunk boundaries fall on
-/// *group* boundaries and each worker borrows one caller-provided scratch
-/// slot.
+/// Like [`for_each_chunk_mut`] but chunk boundaries fall on *group*
+/// boundaries, balanced by per-group cost, and each worker borrows one
+/// caller-provided scratch slot.
 ///
 /// `out` is logically a concatenation of `group_ptr.len() - 1` contiguous
 /// groups: group `g` owns `out[group_ptr[g]..group_ptr[g + 1]]`
@@ -775,9 +700,11 @@ where
 /// Groups are never split across workers — the kernel for a group may
 /// need every element of its group (e.g. refreshing one coarse matrix row
 /// from a sort-and-accumulate over its sources). `cost` is a
-/// non-decreasing prefix of per-group work (length `groups + 1`), used to
-/// balance the split exactly like [`for_each_weighted_chunk_mut`]'s
-/// per-element prefix.
+/// non-decreasing prefix of per-group work (length `groups + 1`): worker
+/// `w` of `t` takes the groups whose cumulative cost falls in the `w`-th
+/// equal share of the total, so each gets about `total / t` of the work
+/// rather than `groups / t` of the groups. The kernel runs serially when
+/// the total cost is below [`PARALLEL_NNZ_CUTOFF`].
 ///
 /// Each worker receives one `&mut S` slot from `scratch`; the worker
 /// count is capped at `scratch.len()`, so callers preallocating
@@ -825,10 +752,11 @@ pub fn for_each_grouped_chunk_mut<T, S, F>(
     let sobs = ScopeObs::new("par.for_each_grouped_chunk", t);
     let out_ptr = SendPtr(out.as_mut_ptr());
     let scratch_ptr = SendPtr(scratch.as_mut_ptr());
-    // Group fence after chunk k − 1, computed per worker exactly as in
-    // `for_each_weighted_chunk_mut` (monotone targets ⇒ non-decreasing
-    // fences); the last fence is forced to `g` so zero-cost tails are
-    // covered.
+    // Group fence after chunk k − 1: the group count whose cumulative
+    // cost first exceeds k equal shares of the total. `partition_point`
+    // is monotone in the target, so each worker computes both of its own
+    // fences independently and they never decrease; the last fence is
+    // forced to `g` so zero-cost tails are covered.
     let bound = |k: usize| -> usize {
         if k == 0 {
             0
@@ -1005,37 +933,6 @@ mod tests {
     }
 
     #[test]
-    fn weighted_chunks_cover_every_element_once() {
-        let _g = LOCK.lock().unwrap();
-        set_threads(Some(4));
-        // Skewed weights: a few heavy rows at the front, a zero-weight
-        // tail that only the forced final boundary can cover.
-        let n = 4000;
-        let mut prefix = Vec::with_capacity(n + 1);
-        let mut acc = 0usize;
-        prefix.push(acc);
-        for i in 0..n {
-            acc += if i < 100 {
-                1500
-            } else if i < n - 64 {
-                3
-            } else {
-                0
-            };
-            prefix.push(acc);
-        }
-        assert!(acc >= PARALLEL_NNZ_CUTOFF);
-        let mut out = vec![0usize; n];
-        for_each_weighted_chunk_mut(&mut out, &prefix, |start, chunk| {
-            for (k, v) in chunk.iter_mut().enumerate() {
-                *v = start + k;
-            }
-        });
-        set_threads(None);
-        assert!(out.iter().enumerate().all(|(i, &v)| v == i));
-    }
-
-    #[test]
     fn grouped_chunks_cover_every_group_once_on_boundaries() {
         let _g = LOCK.lock().unwrap();
         set_threads(Some(4));
@@ -1089,23 +986,6 @@ mod tests {
         let mut out = vec![0u8; groups * 3];
         let mut scratch = vec![(); 4];
         for_each_grouped_chunk_mut(&mut out, &group_ptr, &cost, &mut scratch, |_, _, _| {
-            calls.fetch_add(1, Ordering::Relaxed);
-        });
-        set_threads(None);
-        assert_eq!(calls.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn weighted_chunks_serial_below_weight_gate() {
-        let _g = LOCK.lock().unwrap();
-        set_threads(Some(4));
-        // Many elements, tiny total weight: must run as one serial chunk.
-        let n = PARALLEL_CUTOFF * 2;
-        let prefix: Vec<usize> = (0..=n).map(|i| i / 8).collect();
-        assert!(prefix[n] < PARALLEL_NNZ_CUTOFF);
-        let calls = std::sync::atomic::AtomicUsize::new(0);
-        let mut out = vec![0u8; n];
-        for_each_weighted_chunk_mut(&mut out, &prefix, |_, _| {
             calls.fetch_add(1, Ordering::Relaxed);
         });
         set_threads(None);

@@ -7,10 +7,10 @@
 //! write into those buffers in place. The workspace's accounting
 //! allocator ([`stochcdr_obs::mem::TrackingAlloc`]) tallies allocations
 //! across warm cycles and demands none — the same instrument CI's
-//! mem-smoke job runs. It counts the calling thread's allocations only,
-//! and every chain here stays below [`par::PARALLEL_CUTOFF`], so all
-//! measured work runs on the calling thread and concurrent tests cannot
-//! leak into the count.
+//! memory smoke (`scripts/mem_smoke.sh`) runs. It counts the calling
+//! thread's allocations only, and every chain here stays below
+//! [`par::PARALLEL_CUTOFF`], so all measured work runs on the calling
+//! thread and concurrent tests cannot leak into the count.
 
 use stochcdr_fsm::KroneckerOp;
 use stochcdr_linalg::{par, CooMatrix};

@@ -226,9 +226,11 @@ mod tests {
 
     #[test]
     fn armed_heartbeat_rate_limits() {
-        configure(Some(Duration::from_millis(1)), false);
-        let hb = Heartbeat::new("test");
-        configure(None, false); // restore the global default immediately
+        // Armed on the value, not through the process-wide `configure`:
+        // `disarmed_heartbeat_is_inert` may run concurrently and reset the
+        // global between a `configure` and a `new` here.
+        let mut hb = Heartbeat::new("test");
+        hb.interval_nanos = Duration::from_millis(1).as_nanos() as u64;
         assert!(hb.active());
         // The first tick lands before the interval elapsed: no emission.
         hb.tick_solve(1, 1.0, Some(0.5), 1e-10);
