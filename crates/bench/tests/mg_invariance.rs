@@ -58,9 +58,7 @@ fn residual_trajectory_is_bit_identical_across_thread_counts() {
             chain.phase_hierarchy(),
             None,
         );
-        let out = solver.solve_with_stats(chain.tpm(), None).expect("solve");
-        par::set_threads(None);
-        out
+        solver.solve_with_stats(chain.tpm(), None).expect("solve")
     };
     let (r1, s1) = run(1);
     let (r4, s4) = run(4);

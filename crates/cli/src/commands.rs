@@ -887,6 +887,18 @@ mod tests {
     }
 
     #[test]
+    fn threads_flag_does_not_outlive_its_run() {
+        use stochcdr_linalg::par;
+        let default = par::threads();
+        let pinned = default + 1;
+        run(&argv(&format!("spy {SMALL} --size 16 --threads {pinned}"))).unwrap();
+        assert_eq!(par::threads(), pinned);
+        // A run without `--threads` is back on auto, as the usage says.
+        run(&argv(&format!("spy {SMALL} --size 16"))).unwrap();
+        assert_eq!(par::threads(), default);
+    }
+
+    #[test]
     fn progress_flag_is_accepted_sink_less() {
         // `--progress` alone must work without any sink: status goes to
         // stderr, events fall on the disabled facade.

@@ -48,10 +48,10 @@ use stochcdr_obs as obs;
 /// or analysis failures (each rendered with a usage hint).
 pub fn run(argv: &[String]) -> Result<String, CliError> {
     let parsed = args::parse(argv)?;
-    // `--threads N` overrides the STOCHCDR_THREADS env var; 0 keeps auto.
-    if parsed.options.threads > 0 {
-        stochcdr_linalg::par::set_threads(Some(parsed.options.threads));
-    }
+    // `--threads N` overrides the STOCHCDR_THREADS env var; 0 = auto. Set
+    // (or cleared) every run so a previous invocation's count never leaks.
+    let threads = parsed.options.threads;
+    stochcdr_linalg::par::set_threads((threads > 0).then_some(threads));
     // `--mem-budget` (re)publishes the soft live-heap budget every run so
     // a previous invocation's budget never leaks into this one.
     obs::mem::set_budget(parsed.options.mem_budget);
@@ -69,7 +69,7 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
     result
 }
 
-/// The body of [`run`] after the process-wide knobs are set: decides
+/// The body of [`run`] after the per-run knobs are set: decides
 /// whether the observability facade is needed, installs the sinks, runs
 /// the profiler around the dispatch, and tears everything down again.
 fn run_with_obs(parsed: &ParsedArgs) -> Result<String, CliError> {

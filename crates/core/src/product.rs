@@ -33,7 +33,7 @@ use stochcdr_markov::stationary::StationaryResult;
 use stochcdr_markov::{ImplicitStochastic, StochasticMatrix};
 use stochcdr_multigrid::{
     CycleKind, CycleSchedule, GeometricCoarsening, KrylovAccel, MultigridSolver, MultigridStats,
-    Smoother,
+    Smoother, COARSE_DIRECT_MAX,
 };
 use stochcdr_obs as obs;
 
@@ -44,10 +44,6 @@ use crate::{AssemblyFactors, CdrChain, CdrConfig, CdrError, CdrModel, Result};
 /// one within the assembly tolerance (1e-9); the product's row sums are
 /// products of lane row sums, so the joint drift stays far below this.
 const PRODUCT_TOL: f64 = 1e-6;
-
-/// Coarsest-level state cap — matches the multigrid builder's default
-/// direct-solve cap.
-const COARSE_CAP: usize = 4096;
 
 /// Target size for the first (implicit-level) aggregation. The level-1
 /// coarse chain is the largest *materialized* object in an implicit
@@ -203,7 +199,7 @@ impl ProductChain {
         let mut schedule = Vec::new();
         let mut sim = cur.clone();
         for c in (0..sim.len()).rev() {
-            if sim.iter().product::<usize>() <= COARSE_CAP
+            if sim.iter().product::<usize>() <= COARSE_DIRECT_MAX
                 && !(parts.is_empty() && schedule.is_empty())
             {
                 break;
@@ -521,7 +517,6 @@ mod tests {
                 p.solve_implicit(1e-10).unwrap(),
             ));
         }
-        stochcdr_linalg::par::set_threads(None);
         let (a, b) = &runs[0];
         assert!(!a.implicit);
         assert!(b.implicit);
@@ -549,6 +544,17 @@ mod tests {
         for (x, y) in v1.iter().zip(v4) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
+    }
+
+    #[test]
+    fn solve_auto_selects_by_budget() {
+        let p = ProductChain::replicated(&tiny_lane(), 2).unwrap();
+        obs::mem::set_budget(Some(1)); // anything materialized exceeds this
+        let implicit = p.solve_auto(1e-8);
+        obs::mem::set_budget(None);
+        assert!(implicit.unwrap().implicit, "tight budget must go implicit");
+        let materialized = p.solve_auto(1e-8).unwrap();
+        assert!(!materialized.implicit, "no budget must materialize");
     }
 
     #[test]
@@ -612,7 +618,7 @@ mod tests {
             assert_eq!(w[0].block_count(), w[1].n(), "levels must chain");
             assert!(w[1].block_count() < w[0].block_count());
         }
-        assert!(parts.last().unwrap().block_count() <= COARSE_CAP);
+        assert!(parts.last().unwrap().block_count() <= COARSE_DIRECT_MAX);
     }
 
     #[test]

@@ -625,46 +625,30 @@ mod tests {
         assert!(y.iter().all(|&v| v >= 0.0));
     }
 
-    /// Serializes tests that mutate the process-global soft budget or
-    /// install an obs sink.
-    static OBS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
+    /// Budget refusals from any thread land in the process-wide obs sink,
+    /// so the refusal-event count and the budget checks share one test
+    /// (the only one in this crate that installs a sink).
     #[test]
     fn try_materialize_honors_the_soft_budget() {
+        use stochcdr_obs as obs;
         use stochcdr_obs::mem;
-        let _g = OBS_LOCK.lock().unwrap();
+        let _ = obs::uninstall();
+        let (sink, buf) = obs::JsonLinesSink::to_shared_buffer();
+        obs::install(Box::new(sink));
         let op = KroneckerOp::new(vec![stochastic2(0.3); 10]);
         assert_eq!(op.materialized_nnz(), 4usize.pow(10));
         assert!(op.materialize_cost_bytes() > 4u64.pow(10) * 16);
 
-        // ~16 MiB estimated; a 1 MiB budget must refuse it, no budget
-        // (or a generous one) must not.
+        // ~16 MiB estimated; a 1 MiB budget must refuse it. A sweep loop
+        // retries per axis point; only the first refusal may emit the
+        // event.
         mem::set_budget(Some(1 << 20));
-        assert!(op.try_materialize().is_none(), "oversized product built");
-        mem::set_budget(None);
-        let m = op.try_materialize().expect("no budget, must materialize");
-        assert_eq!(m.nnz(), op.materialized_nnz());
-    }
-
-    #[test]
-    fn budget_refusal_reports_once_per_op() {
-        use stochcdr_obs as obs;
-        use stochcdr_obs::mem;
-        let _g = OBS_LOCK.lock().unwrap();
-        let _ = obs::uninstall();
-        let (sink, buf) = obs::JsonLinesSink::to_shared_buffer();
-        obs::install(Box::new(sink));
-        mem::set_budget(Some(1 << 20));
-        let op = KroneckerOp::new(vec![stochastic2(0.3); 10]);
-        // A sweep loop retries per axis point; only the first refusal may
-        // emit the event.
         for _ in 0..5 {
-            assert!(op.try_materialize().is_none());
+            assert!(op.try_materialize().is_none(), "oversized product built");
         }
         // A fresh clone is a fresh op: it reports once more.
         let clone = op.clone();
         assert!(clone.try_materialize().is_none());
-        mem::set_budget(None);
         obs::uninstall();
         let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
         let hits = text
@@ -672,6 +656,11 @@ mod tests {
             .filter(|l| l.contains("mem.budget_exceeded"))
             .count();
         assert_eq!(hits, 2, "one event per op, got:\n{text}");
+
+        // No budget (or a generous one) must not refuse.
+        mem::set_budget(None);
+        let m = op.try_materialize().expect("no budget, must materialize");
+        assert_eq!(m.nnz(), op.materialized_nnz());
     }
 
     #[test]

@@ -21,9 +21,7 @@
 //!   product"),
 //! * [`KroneckerOp`] — matrix-free product-form representation for
 //!   independent components (the "hierarchical Kronecker algebra"
-//!   alternative the paper cites via Plateau/Buchholz),
-//! * [`TableFsm`] — a small table-driven Mealy machine for tests and ad-hoc
-//!   components.
+//!   alternative the paper cites via Plateau/Buchholz).
 //!
 //! # Example: a two-stage network
 //!
@@ -61,10 +59,8 @@
 
 mod builder;
 pub mod cache;
-pub mod dot;
 mod error;
 mod kron_op;
-mod mealy;
 pub mod reach;
 mod space;
 mod stage;
@@ -73,6 +69,5 @@ pub use builder::{build_rows, RowEmitter, TpmBuilder};
 pub use cache::{CacheStats, FactorCache, KeyHasher, KindStats};
 pub use error::{FsmError, Result};
 pub use kron_op::KroneckerOp;
-pub use mealy::TableFsm;
 pub use space::ProductSpace;
 pub use stage::{CascadeNetwork, Stage, StageOutput};

@@ -823,18 +823,12 @@ mod tests {
         }
         let a = coo.to_csr();
         assert!(a.nnz() >= crate::par::PARALLEL_NNZ_CUTOFF);
-        let _g = crate::par::TEST_THREADS_LOCK.lock().unwrap();
         let x: Vec<f64> = (0..n).map(|i| 1.0 / (i as f64 + 2.0)).collect();
-        let serial = {
-            crate::par::set_threads(Some(1));
-            let y = a.mul_right(&x);
-            crate::par::set_threads(None);
-            y
-        };
+        crate::par::set_threads(Some(1));
+        let serial = a.mul_right(&x);
         for t in [2, 3, 4] {
             crate::par::set_threads(Some(t));
             let y = a.mul_right(&x);
-            crate::par::set_threads(None);
             assert!(
                 serial
                     .iter()

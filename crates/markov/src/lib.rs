@@ -15,7 +15,6 @@
 //! * [`classify`] — communicating classes, irreducibility and periodicity,
 //! * [`lumping`] — exact and weighted (weak) lumping of chains, the building
 //!   block of aggregation/disaggregation multigrid,
-//! * [`transient`] — finite-horizon distribution evolution,
 //! * [`functional`] — expectations, tails and autocorrelations of functions
 //!   defined on the chain's state space.
 //!
@@ -54,7 +53,6 @@ pub mod poisson;
 pub mod simulate;
 pub mod stationary;
 mod stochastic;
-pub mod transient;
 
 pub use chain::Chain;
 pub use error::{MarkovError, Result};

@@ -1302,12 +1302,8 @@ mod tests {
         assert!(LumpPlan::from_pattern(4, &[0, 1, 2], &[0, 1], &small).is_err());
     }
 
-    /// Serializes tests that override the global worker-thread count.
-    static THREADS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
     #[test]
     fn operator_plan_matches_gather_plan_bitwise() {
-        let _g = THREADS_LOCK.lock().unwrap();
         let n = 60;
         // One raw matrix validated twice: with CSR storage (gather-map
         // plan) and matrix-free (row-traversal plan). Both serve the
@@ -1330,7 +1326,6 @@ mod tests {
         for t in [1usize, 4] {
             par::set_threads(Some(t));
             let got = lump_with_plan(&imp, &part, &w, &oplan, &mut ows).unwrap();
-            par::set_threads(None);
             assert!(
                 got.matrix()
                     .data()

@@ -293,7 +293,6 @@ mod tests {
         for threads in [1usize, 4] {
             stochcdr_linalg::par::set_threads(Some(threads));
             runs.push(solver.solve(&p, None).unwrap());
-            stochcdr_linalg::par::set_threads(None);
         }
         assert_eq!(runs[0].distribution, runs[1].distribution);
         assert_eq!(runs[0].iterations(), runs[1].iterations());

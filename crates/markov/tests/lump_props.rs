@@ -73,9 +73,7 @@ proptest! {
         for threads in [1usize, 4] {
             par::set_threads(Some(threads));
             let mut ws = LumpWorkspace::for_plan(&plan);
-            let replay = lump_with_plan(&p, &part, &w, &plan, &mut ws);
-            par::set_threads(None);
-            let replay = replay.expect("plan replay");
+            let replay = lump_with_plan(&p, &part, &w, &plan, &mut ws).expect("plan replay");
             prop_assert_eq!(
                 reference.matrix().indptr(),
                 replay.matrix().indptr(),

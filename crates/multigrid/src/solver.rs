@@ -196,6 +196,10 @@ impl CycleSchedule {
 /// lives on the stack).
 pub const MAX_KRYLOV_WINDOW: usize = 16;
 
+/// Largest coarsest-level size accepted for the direct (GTH) solve; a
+/// deeper partition sequence must bring the coarsest level under it.
+pub const COARSE_DIRECT_MAX: usize = 4096;
+
 /// Default Krylov window length: long enough to collapse a handful of
 /// slow modes per window, short enough that the window storage stays a
 /// small multiple of the iterate.
@@ -254,7 +258,6 @@ pub struct MultigridBuilder {
     smoother: Smoother,
     tol: f64,
     max_cycles: usize,
-    coarse_direct_max: usize,
     fmg: bool,
     plans: Option<Arc<Vec<LumpPlan>>>,
 }
@@ -329,13 +332,6 @@ impl MultigridBuilder {
         self
     }
 
-    /// Largest coarsest-level size accepted for the direct (GTH) solve
-    /// (default 4096).
-    pub fn coarse_direct_max(mut self, n: usize) -> Self {
-        self.coarse_direct_max = n;
-        self
-    }
-
     /// Enables full-multigrid (FMG) initialization (default off): before
     /// cycling, the chain is recursively aggregated to the coarsest level
     /// with uniform weights, solved there directly, and the solution
@@ -368,7 +364,6 @@ impl MultigridBuilder {
             smoother: self.smoother,
             tol: self.tol,
             max_cycles: self.max_cycles,
-            coarse_direct_max: self.coarse_direct_max,
             fmg: self.fmg,
             plans: self.plans,
         }
@@ -439,7 +434,6 @@ pub struct MultigridSolver {
     smoother: Smoother,
     tol: f64,
     max_cycles: usize,
-    coarse_direct_max: usize,
     fmg: bool,
     plans: Option<Arc<Vec<LumpPlan>>>,
 }
@@ -469,7 +463,6 @@ impl MultigridSolver {
             smoother: Smoother::default(),
             tol: 1e-12,
             max_cycles: 200,
-            coarse_direct_max: 4096,
             fmg: false,
             plans: None,
         }
@@ -526,11 +519,10 @@ impl MultigridSolver {
             }
         }
         let coarsest = self.partitions.last().map_or(n, Partition::block_count);
-        if coarsest > self.coarse_direct_max {
+        if coarsest > COARSE_DIRECT_MAX {
             return Err(MarkovError::InvalidArgument(format!(
-                "coarsest level has {coarsest} states, exceeding the direct-solve cap {}; \
-                 add more coarsening levels",
-                self.coarse_direct_max
+                "coarsest level has {coarsest} states, exceeding the direct-solve cap \
+                 {COARSE_DIRECT_MAX}; add more coarsening levels"
             )));
         }
         if self.partitions.is_empty() && fine.csr().is_none() {
@@ -1513,10 +1505,8 @@ mod tests {
 
     #[test]
     fn coarse_cap_enforced() {
-        let p = birth_death(64, 0.4);
-        let solver = MultigridSolver::builder(vec![])
-            .coarse_direct_max(8)
-            .build();
+        let p = birth_death(COARSE_DIRECT_MAX + 1, 0.4);
+        let solver = MultigridSolver::builder(vec![]).build();
         assert!(matches!(
             solver.solve(&p, None),
             Err(MarkovError::InvalidArgument(_))

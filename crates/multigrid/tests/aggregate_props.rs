@@ -108,7 +108,6 @@ proptest! {
         let threaded = StrengthCoarsening::until(4)
             .aggregates(max)
             .levels_with_plans(&p);
-        par::set_threads(None);
         let (parts1, plans1) = serial.expect("serial levels");
         let (parts4, plans4) = threaded.expect("threaded levels");
         prop_assert_eq!(parts1.len(), parts4.len());

@@ -87,7 +87,6 @@ fn warm_cycles_do_not_allocate() {
             "{kind:?}-cycle allocated {allocated} times after setup"
         );
     }
-    par::set_threads(None);
 }
 
 /// The same zero-allocation claim for the matrix-free fine grid: after
@@ -138,5 +137,4 @@ fn warm_implicit_cycles_do_not_allocate() {
         allocated, 0,
         "implicit Jacobi cycle allocated {allocated} times after setup"
     );
-    par::set_threads(None);
 }

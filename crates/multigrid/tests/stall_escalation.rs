@@ -73,7 +73,6 @@ fn observed_solve(p: &StochasticMatrix, threads: usize) -> Run {
     obs::install(Box::new(sink));
     par::set_threads(Some(threads));
     let (result, stats) = solver.solve_with_stats(p, None).unwrap();
-    par::set_threads(None);
     obs::uninstall();
 
     let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();

@@ -25,14 +25,14 @@
 //! callers that are about to materialize a large intermediate (the
 //! Kronecker path) ask [`check_budget`] first and refuse on their own
 //! terms; the check emits a `mem.budget_exceeded` event so the refusal
-//! is visible in artifacts.
+//! is visible in artifacts. The budget is scoped to the thread that sets
+//! it, and is compared against the process-wide live heap.
 //!
 //! The `alloc-track` cargo feature (default on) compiles the accounting
 //! in; with the feature disabled [`TrackingAlloc`] degrades to a plain
 //! pass-through to [`System`] and every counter reads zero.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-#[cfg(feature = "alloc-track")]
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -44,8 +44,10 @@ static PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
 static ALLOC_COUNT: AtomicU64 = AtomicU64::new(0);
 /// Cumulative allocated bytes (monotone).
 static TOTAL_BYTES: AtomicU64 = AtomicU64::new(0);
-/// Soft budget in bytes; 0 = unset.
-static BUDGET_BYTES: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// This thread's soft budget in bytes; 0 = unset.
+    static BUDGET_BYTES: Cell<u64> = const { Cell::new(0) };
+}
 
 #[cfg(feature = "alloc-track")]
 thread_local! {
@@ -206,20 +208,22 @@ impl ThreadAllocMark {
     }
 }
 
-/// Sets (or clears, with `None`) the process-wide soft memory budget.
+/// Sets (or clears, with `None`) the calling thread's soft memory
+/// budget. Other threads keep their own; a thread that never sets one
+/// has none.
 ///
 /// When instrumentation is enabled the new value is published as the
 /// `mem.budget_bytes` gauge (0 on clear).
 pub fn set_budget(bytes: Option<u64>) {
-    BUDGET_BYTES.store(bytes.unwrap_or(0), Ordering::Relaxed);
+    BUDGET_BYTES.with(|b| b.set(bytes.unwrap_or(0)));
     if crate::enabled() {
         crate::gauge("mem.budget_bytes", bytes.unwrap_or(0) as f64);
     }
 }
 
-/// The current soft budget, if one is set.
+/// The calling thread's soft budget, if one is set.
 pub fn budget() -> Option<u64> {
-    match BUDGET_BYTES.load(Ordering::Relaxed) {
+    match BUDGET_BYTES.with(Cell::get) {
         0 => None,
         b => Some(b),
     }
@@ -369,7 +373,6 @@ mod tests {
 
     #[test]
     fn budget_round_trips_and_checks() {
-        set_budget(None);
         assert_eq!(budget(), None);
         assert!(!would_exceed(u64::MAX / 2));
         assert!(check_budget("anything", u64::MAX / 2));
@@ -380,6 +383,17 @@ mod tests {
         assert!(!check_budget("huge", u64::MAX / 2));
         assert!(check_budget("tiny", 0));
         set_budget(None);
+        assert_eq!(budget(), None);
+    }
+
+    /// The budget is scoped to the calling thread: a thread spawned while
+    /// one is in force has none.
+    #[test]
+    fn budget_does_not_leak_to_other_threads() {
+        set_budget(Some(1 << 20));
+        let seen = std::thread::spawn(budget).join().unwrap();
+        assert_eq!(budget(), Some(1 << 20));
+        assert_eq!(seen, None);
     }
 
     #[test]

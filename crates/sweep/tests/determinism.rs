@@ -15,9 +15,7 @@ fn sweep_json_is_bitwise_identical_across_thread_counts() {
     let spec = drift_spec();
     let render_at = |t: usize| {
         par::set_threads(Some(t));
-        let out = run(&spec).map(|s| render(&spec, &s.points));
-        par::set_threads(None);
-        out.unwrap()
+        render(&spec, &run(&spec).unwrap().points)
     };
     let one = render_at(1);
     let four = render_at(4);

@@ -73,6 +73,4 @@ fn warm_cache_and_warm_starts_do_not_inflate_allocations() {
         warm <= cached,
         "warm-started solves allocated more than cold ones: {warm} vs {cached}"
     );
-
-    par::set_threads(None);
 }

@@ -141,7 +141,6 @@ proptest! {
             let mut right = vec![0.0; n];
             op.mul_left_into(&x, &mut left);
             op.mul_right_into(&x, &mut right);
-            par::set_threads(None);
             (left, right)
         };
         let (l1, r1) = apply(1);
@@ -180,8 +179,8 @@ proptest! {
 
 /// One test drives every thread-sensitive code path at 1 and 4 threads
 /// and demands bitwise-equal outputs: TPM assembly, SpMV, all stationary
-/// solvers, the Kronecker kernels, and sharded Monte Carlo. (Single test
-/// on purpose — the pool size is a process-wide knob.)
+/// solvers, the Kronecker kernels, and sharded Monte Carlo. The pool size
+/// is set per calling thread, so concurrent tests keep their own.
 #[test]
 fn one_thread_and_four_threads_are_bit_identical() {
     let run_all = || {
@@ -212,7 +211,6 @@ fn one_thread_and_four_threads_are_bit_identical() {
     let serial = run_all();
     par::set_threads(Some(4));
     let parallel = run_all();
-    par::set_threads(None);
 
     assert_eq!(
         serial.0, parallel.0,
@@ -277,7 +275,6 @@ fn implicit_kronecker_chain_is_thread_invariant_above_the_parallel_cutoff() {
         let mut right = vec![0.0; n];
         imp.step_into(&x, &mut step);
         imp.mul_right_into(&x, &mut right);
-        par::set_threads(None);
         (step, right)
     };
     let (step, right) = apply(1);
