@@ -625,42 +625,70 @@ mod tests {
         assert!(y.iter().all(|&v| v >= 0.0));
     }
 
-    /// Budget refusals from any thread land in the process-wide obs sink,
-    /// so the refusal-event count and the budget checks share one test
-    /// (the only one in this crate that installs a sink).
     #[test]
     fn try_materialize_honors_the_soft_budget() {
-        use stochcdr_obs as obs;
         use stochcdr_obs::mem;
-        let _ = obs::uninstall();
-        let (sink, buf) = obs::JsonLinesSink::to_shared_buffer();
-        obs::install(Box::new(sink));
         let op = KroneckerOp::new(vec![stochastic2(0.3); 10]);
         assert_eq!(op.materialized_nnz(), 4usize.pow(10));
         assert!(op.materialize_cost_bytes() > 4u64.pow(10) * 16);
 
-        // ~16 MiB estimated; a 1 MiB budget must refuse it. A sweep loop
-        // retries per axis point; only the first refusal may emit the
-        // event.
+        // ~16 MiB estimated; a 1 MiB budget must refuse it, no budget
+        // (or a generous one) must not.
         mem::set_budget(Some(1 << 20));
-        for _ in 0..5 {
-            assert!(op.try_materialize().is_none(), "oversized product built");
-        }
-        // A fresh clone is a fresh op: it reports once more.
-        let clone = op.clone();
-        assert!(clone.try_materialize().is_none());
-        obs::uninstall();
-        let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
-        let hits = text
-            .lines()
-            .filter(|l| l.contains("mem.budget_exceeded"))
-            .count();
-        assert_eq!(hits, 2, "one event per op, got:\n{text}");
-
-        // No budget (or a generous one) must not refuse.
+        assert!(op.try_materialize().is_none(), "oversized product built");
         mem::set_budget(None);
         let m = op.try_materialize().expect("no budget, must materialize");
         assert_eq!(m.nnz(), op.materialized_nnz());
+    }
+
+    /// Runs `body` in a child copy of this test binary with only the test
+    /// `name` selected, so nothing else in the process can reach the
+    /// process-wide obs sink it reads.
+    fn run_alone(name: &str, body: fn()) {
+        const SELECTED: &str = "STOCHCDR_TEST_ALONE";
+        if std::env::var(SELECTED).as_deref() == Ok(name) {
+            return body();
+        }
+        let out = std::process::Command::new(std::env::current_exe().unwrap())
+            .args([name, "--exact", "--test-threads=1", "--nocapture"])
+            .env(SELECTED, name)
+            .output()
+            .unwrap();
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success() && stdout.contains("1 passed"),
+            "{name} failed when run alone:\n{stdout}\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+
+    /// Budget refusals from any thread land in the process-wide obs sink,
+    /// so the event count runs alone in a child process.
+    #[test]
+    fn budget_refusal_reports_once_per_op() {
+        run_alone("kron_op::tests::budget_refusal_reports_once_per_op", || {
+            use stochcdr_obs as obs;
+            use stochcdr_obs::mem;
+            let (sink, buf) = obs::JsonLinesSink::to_shared_buffer();
+            obs::install(Box::new(sink));
+            mem::set_budget(Some(1 << 20));
+            let op = KroneckerOp::new(vec![stochastic2(0.3); 10]);
+            // A sweep loop retries per axis point; only the first refusal
+            // may emit the event.
+            for _ in 0..5 {
+                assert!(op.try_materialize().is_none());
+            }
+            // A fresh clone is a fresh op: it reports once more.
+            let clone = op.clone();
+            assert!(clone.try_materialize().is_none());
+            obs::uninstall();
+            let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
+            let hits = text
+                .lines()
+                .filter(|l| l.contains("mem.budget_exceeded"))
+                .count();
+            assert_eq!(hits, 2, "one event per op, got:\n{text}");
+        });
     }
 
     #[test]

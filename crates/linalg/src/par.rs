@@ -1017,6 +1017,103 @@ mod tests {
         assert_eq!(out, (0..33).map(|i| i * i).collect::<Vec<_>>());
     }
 
+    /// Runs `body` in a child copy of this test binary with only the test
+    /// `name` selected, so no sibling test's records or dispatches reach
+    /// the process-wide state it reads (the installed obs sink, the live
+    /// helper threads).
+    fn run_alone(name: &str, body: fn()) {
+        const SELECTED: &str = "STOCHCDR_TEST_ALONE";
+        if std::env::var(SELECTED).as_deref() == Ok(name) {
+            return body();
+        }
+        let out = std::process::Command::new(std::env::current_exe().unwrap())
+            .args([name, "--exact", "--test-threads=1", "--nocapture"])
+            .env(SELECTED, name)
+            .output()
+            .unwrap();
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success() && stdout.contains("1 passed"),
+            "{name} failed when run alone:\n{stdout}\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+
+    #[test]
+    fn parallel_kernels_profile_their_workers() {
+        run_alone("par::tests::parallel_kernels_profile_their_workers", || {
+            set_threads(Some(4));
+            obs::install(Box::new(obs::SummarySink::new()));
+            let mut out = vec![0.0f64; PARALLEL_CUTOFF * 2];
+            for_each_chunk_mut(&mut out, |start, chunk| {
+                for (i, v) in chunk.iter_mut().enumerate() {
+                    *v = (start + i) as f64;
+                }
+            });
+            let _sums = map_chunks(PARALLEL_CUTOFF * 2, 4096, |r| r.len());
+            let report = obs::uninstall().and_then(|mut s| s.finish()).unwrap();
+            assert!(report.contains("par.worker"), "{report}");
+            assert!(report.contains("par.utilization"), "{report}");
+            assert!(report.contains("par.worker.busy_ns"), "{report}");
+            assert!(report.contains("par.for_each_chunk"), "{report}");
+            assert!(report.contains("par.map_chunks"), "{report}");
+        });
+    }
+
+    /// Regression for the utilization denominator: a balanced
+    /// compute-bound dispatch must read as a busy pool now that
+    /// wake-up/join are out of the denominator (the old full-wall
+    /// version averaged ~0.2 on short dispatches regardless of balance).
+    /// A retry loop keeps transient scheduler preemption (shared CI
+    /// runners) from failing the assertion: genuine undercounting
+    /// repeats on every attempt, noise does not.
+    #[test]
+    fn utilization_measures_busy_window_not_spinup() {
+        run_alone(
+            "par::tests::utilization_measures_busy_window_not_spinup",
+            || {
+                set_threads(Some(4));
+                let n = PARALLEL_CUTOFF * 4;
+                let mut best = 0.0f64;
+                for _ in 0..5 {
+                    let (sink, buf) = obs::JsonLinesSink::to_shared_buffer();
+                    obs::install(Box::new(sink));
+                    // Heavy enough per worker (~ms) that dispatch wake-up skew
+                    // is a small fraction of the busy window.
+                    let parts = map_chunks(n, n / 64, |r| {
+                        let mut acc = 0.0f64;
+                        for i in r {
+                            let mut x = (i as f64).sqrt();
+                            for _ in 0..24 {
+                                x = (x + 1.5).sin() * (x + 2.5).cos() + x.abs().sqrt();
+                            }
+                            acc += x;
+                        }
+                        acc
+                    });
+                    obs::uninstall();
+                    assert_eq!(parts.len(), 64);
+                    let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
+                    let art = obs::artifact::Artifact::load_jsonl(&text).unwrap();
+                    let util = art.gauges["par.utilization"];
+                    assert!(
+                        (0.0..=1.0).contains(&util),
+                        "utilization {util} out of range"
+                    );
+                    best = best.max(util);
+                    if best > 0.5 {
+                        break;
+                    }
+                }
+                assert!(
+                    best > 0.5,
+                    "balanced dispatch utilization peaked at {best}; \
+                 wake-up is back in the denominator"
+                );
+            },
+        );
+    }
+
     #[test]
     fn reduction_is_thread_count_invariant() {
         let n = PARALLEL_CUTOFF * 3 + 5;
@@ -1186,6 +1283,48 @@ mod tests {
     }
 
     // -- Persistent pool ---------------------------------------------------
+
+    /// Live thread count of this process (Linux procfs).
+    fn process_threads() -> usize {
+        std::fs::read_to_string("/proc/self/status")
+            .ok()
+            .and_then(|s| {
+                s.lines()
+                    .find(|l| l.starts_with("Threads:"))
+                    .and_then(|l| l.split_whitespace().nth(1))
+                    .and_then(|v| v.parse().ok())
+            })
+            .unwrap_or(0)
+    }
+
+    #[test]
+    fn pool_workers_persist_across_dispatches() {
+        run_alone("par::tests::pool_workers_persist_across_dispatches", || {
+            set_threads(Some(4));
+            prewarm();
+            let mut out = vec![0usize; PARALLEL_CUTOFF * 2];
+            let fill = |out: &mut [usize]| {
+                for_each_chunk_mut(out, |start, chunk| {
+                    for (k, v) in chunk.iter_mut().enumerate() {
+                        *v = start + k;
+                    }
+                })
+            };
+            fill(&mut out);
+            let after_first = process_threads();
+            for _ in 0..10 {
+                fill(&mut out);
+            }
+            let after_many = process_threads();
+            assert!(out.iter().enumerate().all(|(i, &v)| v == i));
+            if after_first > 0 {
+                assert_eq!(
+                    after_first, after_many,
+                    "pool respawned threads between dispatches"
+                );
+            }
+        });
+    }
 
     #[test]
     fn nested_dispatch_runs_serially_and_correctly() {
